@@ -84,6 +84,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=$(FUZZTIME) ./cardest/plan/
 	$(GO) test -run='^$$' -fuzz=FuzzMutationLog -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzDriftThreshold -fuzztime=$(FUZZTIME) ./internal/probe/
+	$(GO) test -run='^$$' -fuzz=FuzzSegmentCombine -fuzztime=$(FUZZTIME) ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzPackBits -fuzztime=$(FUZZTIME) ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzTokenHamming -fuzztime=$(FUZZTIME) ./internal/dist/
 
 # cover prints per-package coverage and fails if total statement coverage
 # drops below the recorded baseline (set just under the measured total;
@@ -126,7 +129,8 @@ bench-smoke:
 # (simload -spawn: hermetic, no checkpoint needed) and kills one replica
 # mid-run; the run must finish with zero client-visible errors and writes
 # p50/p99/p99.9 plus shed/degraded/retried/hedged counts to
-# BENCH_serving.json (gitignored — numbers are host-dependent).
+# BENCH_serving.json (tracked, like BENCH_kernels.json; the numbers are
+# host-dependent, so compare runs from one host only).
 bench-serving:
 	$(GO) run ./cmd/simload -spawn 3 -rate 300 -duration 5s -kill-after 2s -out BENCH_serving.json
 

@@ -123,13 +123,20 @@ func TestClaimPooledJoinFasterThanPerQuery(t *testing.T) {
 	if _, err := exper.Figure13(js, 120, 1); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exper.Figure13(js, 120, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Best of three runs per method, as bestOf3Latencies does for Table 6:
+	// set-up garbage collected inside one timed window can't flip the
+	// ordering.
 	lat := map[string]time.Duration{}
-	for _, r := range rows {
-		lat[r.Method] = r.PerSet
+	for i := 0; i < 3; i++ {
+		rows, err := exper.Figure13(js, 120, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if cur, ok := lat[r.Method]; !ok || r.PerSet < cur {
+				lat[r.Method] = r.PerSet
+			}
+		}
 	}
 	if lat["GLJoin+"] >= lat["GL+"] {
 		t.Fatalf("pooled GLJoin+ %v should be faster than per-query GL+ %v", lat["GLJoin+"], lat["GL+"])

@@ -117,7 +117,7 @@ func (m *BasicModel) SetOutputBias(meanLogCard float64) {
 // predictions; train=true caches for backward.
 func (m *BasicModel) forward(qs [][]float64, taus []float64, train bool) *tensor.Matrix {
 	if !train {
-		return m.infer(qs, taus, nil)
+		return m.infer(qs, taus, sharedDists{}, nil)
 	}
 	zq := m.E1.Forward(queryBatch(nil, qs, m.Dim), true)
 	zt := m.E2.Forward(tauBatch(nil, taus, m.TauScale), true)
@@ -138,13 +138,15 @@ func (m *BasicModel) forward(qs [][]float64, taus []float64, train bool) *tensor
 // feature construction (x_Q stacking, τ scaling, anchor distances) runs
 // first under the feature_build span; the arena hands each call a distinct
 // region, so ordering builds before network passes changes nothing else.
-func (m *BasicModel) infer(qs [][]float64, taus []float64, s *nn.Scratch) *tensor.Matrix {
+// The anchor distances come from xc when it holds a GL estimate's shared
+// centroid-distance pass (a GL local's anchors are the centroids).
+func (m *BasicModel) infer(qs [][]float64, taus []float64, xc sharedDists, s *nn.Scratch) *tensor.Matrix {
 	sp := telemetry.StartStage(telemetry.StageFeatureBuild)
 	xq := queryBatch(s, qs, m.Dim)
 	xt := tauBatch(s, taus, m.TauScale)
 	var xd *tensor.Matrix
 	if m.E3 != nil {
-		xd = distBatch(s, qs, m.Anchors, m.Metric, m.DistScale)
+		xd = xc.features(s, qs, m.Anchors, m.Metric, m.DistScale)
 	}
 	sp.End()
 	zq := m.E1.Infer(xq, s)
@@ -234,20 +236,32 @@ func (m *BasicModel) Train(samples []Sample, cfg TrainConfig) error {
 
 // EstimateSearch returns the estimated cardinality for one query.
 func (m *BasicModel) EstimateSearch(q []float64, tau float64) float64 {
+	return m.search(q, tau, sharedDists{})
+}
+
+// search is EstimateSearch with the anchor distances read from xc when it
+// holds a shared pass.
+func (m *BasicModel) search(q []float64, tau float64, xc sharedDists) float64 {
 	s := takeScratch()
 	defer putScratch(s)
-	pred := m.infer([][]float64{q}, []float64{tau}, s)
+	pred := m.infer([][]float64{q}, []float64{tau}, xc, s)
 	return m.capCard(expCard(pred.Data[0]))
 }
 
 // EstimateSearchBatch estimates many (q, τ) pairs in one forward pass.
 func (m *BasicModel) EstimateSearchBatch(qs [][]float64, taus []float64) []float64 {
+	return m.searchBatch(qs, taus, sharedDists{})
+}
+
+// searchBatch is EstimateSearchBatch with the anchor distances read from xc
+// when it holds a shared pass.
+func (m *BasicModel) searchBatch(qs [][]float64, taus []float64, xc sharedDists) []float64 {
 	if len(qs) != len(taus) {
 		panic(fmt.Sprintf("model: batch size mismatch: %d queries, %d thresholds", len(qs), len(taus)))
 	}
 	s := takeScratch()
 	defer putScratch(s)
-	pred := m.infer(qs, taus, s)
+	pred := m.infer(qs, taus, xc, s)
 	out := make([]float64, pred.Rows)
 	for i := range out {
 		out[i] = m.capCard(expCard(pred.Data[i]))
@@ -294,7 +308,7 @@ func (m *BasicModel) SizeBytes() int {
 // log of the set's total cardinality.
 func (m *BasicModel) forwardJoin(qs [][]float64, tau float64, train bool) *tensor.Matrix {
 	if !train {
-		return m.inferJoin(qs, tau, nil)
+		return m.inferJoin(qs, tau, sharedDists{}, nil)
 	}
 	zqAll := m.E1.Forward(queryBatch(nil, qs, m.Dim), true)
 	zq := sumRows(nil, zqAll)
@@ -311,13 +325,13 @@ func (m *BasicModel) forwardJoin(qs [][]float64, tau float64, train bool) *tenso
 }
 
 // inferJoin is the pure pooled-join inference path (see infer).
-func (m *BasicModel) inferJoin(qs [][]float64, tau float64, s *nn.Scratch) *tensor.Matrix {
+func (m *BasicModel) inferJoin(qs [][]float64, tau float64, xc sharedDists, s *nn.Scratch) *tensor.Matrix {
 	zqAll := m.E1.Infer(queryBatch(s, qs, m.Dim), s)
 	zq := sumRows(s, zqAll)
 	zt := m.E2.Infer(tauBatch(s, []float64{tau}, m.TauScale), s)
 	var z *tensor.Matrix
 	if m.E3 != nil {
-		zdAll := m.E3.Infer(distBatch(s, qs, m.Anchors, m.Metric, m.DistScale), s)
+		zdAll := m.E3.Infer(xc.features(s, qs, m.Anchors, m.Metric, m.DistScale), s)
 		z = concatCols(s, zq, zt, sumRows(s, zdAll))
 	} else {
 		z = concatCols(s, zq, zt)
@@ -343,12 +357,18 @@ func (m *BasicModel) backwardJoin(dy *tensor.Matrix) {
 // EstimateJoinPooled estimates a query set's total cardinality with one
 // output-module evaluation (the batch-embedding path of Fig 6).
 func (m *BasicModel) EstimateJoinPooled(qs [][]float64, tau float64) float64 {
+	return m.joinPooled(qs, tau, sharedDists{})
+}
+
+// joinPooled is EstimateJoinPooled with the anchor distances read from xc
+// when it holds a shared pass.
+func (m *BasicModel) joinPooled(qs [][]float64, tau float64, xc sharedDists) float64 {
 	if len(qs) == 0 {
 		return 0
 	}
 	s := takeScratch()
 	defer putScratch(s)
-	pred := m.inferJoin(qs, tau, s)
+	pred := m.inferJoin(qs, tau, xc, s)
 	est := expCard(pred.Data[0])
 	if m.MaxCard > 0 {
 		// A set of |Q| queries can match at most |Q| × population pairs.

@@ -115,6 +115,49 @@ func distBatch(s *nn.Scratch, qs [][]float64, anchors [][]float64, metric dist.M
 	return m
 }
 
+// sharedDists is a (sub-)batch's view of a GL estimate's one
+// centroid-distance pass (GlobalLocal.centroidDists): query k's raw
+// distances are row rows[k] of d, or row k when rows is nil. The zero value
+// holds no pass, and the model computes its own anchor distances.
+type sharedDists struct {
+	d    *tensor.Matrix
+	rows []int
+}
+
+// features builds x_D/x_C for qs: the shared raw distances divided by
+// scale when the view holds the pass, otherwise distBatch. Both divide the
+// same dist.Distance values by the same scale, so the two are bitwise
+// equal.
+func (sd sharedDists) features(s *nn.Scratch, qs [][]float64, anchors [][]float64, metric dist.Metric, scale float64) *tensor.Matrix {
+	if sd.d == nil {
+		return distBatch(s, qs, anchors, metric, scale)
+	}
+	m := s.Matrix(len(qs), sd.d.Cols)
+	for k := range qs {
+		src := sd.d.Row(k)
+		if sd.rows != nil {
+			src = sd.d.Row(sd.rows[k])
+		}
+		row := m.Row(k)
+		for j, v := range src {
+			row[j] = v / scale
+		}
+	}
+	return m
+}
+
+// subBatch gathers the queries and thresholds of the batch rows in g — one
+// local model's routed sub-batch.
+func subBatch(qs [][]float64, taus []float64, g []int) ([][]float64, []float64) {
+	gqs := make([][]float64, len(g))
+	gts := make([]float64, len(g))
+	for k, i := range g {
+		gqs[k] = qs[i]
+		gts[k] = taus[i]
+	}
+	return gqs, gts
+}
+
 // sumRows sum-pools a matrix's rows into a 1×C matrix — the join models'
 // query-set embedding (§4).
 func sumRows(s *nn.Scratch, m *tensor.Matrix) *tensor.Matrix {

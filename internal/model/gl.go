@@ -13,6 +13,7 @@ import (
 
 	"simquery/internal/cluster"
 	"simquery/internal/dist"
+	"simquery/internal/nn"
 	"simquery/internal/telemetry"
 	"simquery/internal/tensor"
 )
@@ -132,6 +133,12 @@ type GlobalLocal struct {
 	// EnableDeltaTracking arms it; see delta.go). Not serialized.
 	deltas atomic.Pointer[SegDeltas]
 
+	// sharedPass reports that the global model's centroids and every
+	// local's anchors are Seg.Centroids, so an estimate computes each
+	// query's centroid distances once (centroidDists). Set by
+	// shareCentroids at construction and load.
+	sharedPass bool
+
 	cfg GLConfig
 }
 
@@ -249,7 +256,74 @@ func newGlobalLocalFromSeg(label string, data [][]float64, seg *cluster.Segmenta
 		gl.Global = g
 	}
 	gl.initBounds(data)
+	gl.shareCentroids()
 	return gl, nil
+}
+
+// shareCentroids enables the shared centroid-distance pass when the K+2
+// centroid tables (Seg's, the global model's, and every GL local's anchors)
+// hold bitwise-equal values under one metric — the condition that makes
+// one set of dist.Distance calls serve all three. It then points the
+// copies at Seg.Centroids, so a loaded checkpoint keeps one table instead
+// of K+2. When any copy differs, every model keeps its own table and
+// computes its own distances.
+func (gl *GlobalLocal) shareCentroids() {
+	gl.sharedPass = false
+	g := gl.Global
+	c := gl.Seg.Centroids
+	if g == nil || g.Metric != gl.Metric || !sameTable(g.Centroids, c) {
+		return
+	}
+	for _, l := range gl.Locals {
+		if l.E3 == nil || l.Metric != gl.Metric || !sameTable(l.Anchors, c) {
+			return
+		}
+	}
+	g.Centroids = c
+	for _, l := range gl.Locals {
+		l.Anchors = c
+	}
+	gl.sharedPass = true
+}
+
+// sameTable reports whether two vector tables are bitwise equal.
+func sameTable(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j, v := range a[i] {
+			if math.Float64bits(v) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// centroidDists is the one centroid-distance pass of a GL estimate: row i
+// holds qs[i]'s unscaled dist.Distance to every centroid, in the scratch
+// arena. It feeds the global model's x_C, the locals' x_C, and the
+// triangle bound (except under Angular, whose bound references are
+// normalized centroids). It returns nil, and every consumer computes its
+// own distances, unless sharedPass is set.
+func (gl *GlobalLocal) centroidDists(s *nn.Scratch, qs [][]float64) *tensor.Matrix {
+	if !gl.sharedPass {
+		return nil
+	}
+	sp := telemetry.StartStage(telemetry.StageFeatureBuild)
+	defer sp.End()
+	m := s.Matrix(len(qs), gl.Seg.K)
+	for i, q := range qs {
+		row := m.Row(i)
+		for j, c := range gl.Seg.Centroids {
+			row[j] = dist.Distance(gl.Metric, q, c)
+		}
+	}
+	return m
 }
 
 // segmentAnchors draws up to k member vectors of segment i (falling back to
@@ -376,43 +450,43 @@ func (gl *GlobalLocal) Train(samples []SegSample, cfg TrainConfig, gcfg GlobalTr
 // τ of q, by the triangle inequality on the centroid distance and the
 // segment radius (§5.1: "we could compute the distance upper bound between
 // a query and a data object in a data segment... by using triangle
-// inequality"). Cosine distance is not a metric, so no pruning there.
-func (gl *GlobalLocal) provablyEmpty(q []float64, tau float64, i int) bool {
+// inequality"). Cosine distance is not a metric, so no pruning there. A
+// non-nil refDists is the query's distances to the reference points, read
+// instead of recomputed.
+func (gl *GlobalLocal) provablyEmpty(q []float64, tau float64, i int, refDists []float64) bool {
 	if gl.Metric == dist.Cosine || gl.refs == nil {
 		return false
 	}
-	d := dist.Distance(gl.Metric, q, gl.refs[i])
+	var d float64
+	if refDists != nil {
+		d = refDists[i]
+	} else {
+		d = dist.Distance(gl.Metric, q, gl.refs[i])
+	}
 	return d-gl.MetricRadii[i] > tau
 }
 
-// maskFor turns one query's global-model probabilities into the selection
-// mask: picks above σ, hard-filtered by the triangle-inequality bound, with
-// a fallback to the highest-probability surviving segment so plausible
-// queries never silently estimate zero — unless every segment is provably
-// empty, in which case zero is exact. A nil probs row is the Local+ case:
-// every not-provably-empty segment is selected. This is the single source
-// of routing truth shared by the search, batch, and join paths, so they
-// select identical segments for identical queries.
-func (gl *GlobalLocal) maskFor(q []float64, tau float64, probs []float64) []bool {
-	sel := make([]bool, gl.Seg.K)
-	gl.maskInto(sel, q, tau, probs)
-	return sel
-}
-
-// maskInto is maskFor writing into caller-owned storage (len gl.Seg.K, all
-// false) — the batched path slices one backing array into per-query masks
-// instead of allocating each mask.
-func (gl *GlobalLocal) maskInto(sel []bool, q []float64, tau float64, probs []float64) {
+// maskInto turns one query's global-model probabilities into its selection
+// mask, written into sel (len gl.Seg.K, all false): picks above σ,
+// hard-filtered by the triangle-inequality bound, with a fallback to the
+// highest-probability surviving segment so plausible queries never
+// silently estimate zero — unless every segment is provably empty, in
+// which case zero is exact. A nil probs row is the Local+ case: every
+// not-provably-empty segment is selected. This is the single source of
+// routing truth shared by the search, batch, and join paths, so they
+// select identical segments for identical queries. refDists is passed to
+// provablyEmpty.
+func (gl *GlobalLocal) maskInto(sel []bool, q []float64, tau float64, probs, refDists []float64) {
 	if probs == nil {
 		for i := range sel {
-			sel[i] = !gl.provablyEmpty(q, tau, i)
+			sel[i] = !gl.provablyEmpty(q, tau, i, refDists)
 		}
 		return
 	}
 	any := false
 	bestIdx, bestProb := -1, -1.0
 	for i, p := range probs {
-		if gl.provablyEmpty(q, tau, i) {
+		if gl.provablyEmpty(q, tau, i, refDists) {
 			continue
 		}
 		if p > gl.Sigma {
@@ -429,34 +503,40 @@ func (gl *GlobalLocal) maskInto(sel []bool, q []float64, tau float64, probs []fl
 }
 
 // selectionMasks computes the per-query selection masks for a batch with a
-// single global-model forward pass — the batched counterpart of
-// SelectedSegments (Fig 6's indicator matrix).
-func (gl *GlobalLocal) selectionMasks(qs [][]float64, taus []float64) [][]bool {
+// single centroid-distance pass and a single global-model forward pass —
+// the batched counterpart of SelectedSegments (Fig 6's indicator matrix).
+// It also returns the distance pass (nil unless sharedPass), which lives in
+// s, for the locals' x_C.
+func (gl *GlobalLocal) selectionMasks(s *nn.Scratch, qs [][]float64, taus []float64) ([][]bool, *tensor.Matrix) {
+	xc := gl.centroidDists(s, qs)
+	var probs *tensor.Matrix
+	if gl.Global != nil {
+		probs = gl.Global.probs(s, qs, taus, sharedDists{d: xc})
+	}
 	masks := make([][]bool, len(qs))
 	flat := make([]bool, len(qs)*gl.Seg.K) // one backing array for all masks
-	var probs [][]float64
-	if gl.Global != nil {
-		probs = gl.Global.ProbsBatch(qs, taus)
-	}
 	for i, q := range qs {
 		masks[i] = flat[i*gl.Seg.K : (i+1)*gl.Seg.K]
-		if probs == nil {
-			gl.maskInto(masks[i], q, taus[i], nil)
-		} else {
-			gl.maskInto(masks[i], q, taus[i], probs[i])
+		var p, refDists []float64
+		if probs != nil {
+			p = probs.Row(i)
 		}
+		if xc != nil && gl.Metric != dist.Angular {
+			refDists = xc.Row(i)
+		}
+		gl.maskInto(masks[i], q, taus[i], p, refDists)
 	}
-	return masks
+	return masks, xc
 }
 
 // SelectedSegments returns which local models will be evaluated for (q, τ):
 // the global model's picks, hard-filtered by the triangle-inequality bound;
 // for Local+ every not-provably-empty segment.
 func (gl *GlobalLocal) SelectedSegments(q []float64, tau float64) []bool {
-	if gl.Global == nil {
-		return gl.maskFor(q, tau, nil)
-	}
-	return gl.maskFor(q, tau, gl.Global.Probs(q, tau))
+	s := takeScratch()
+	defer putScratch(s)
+	masks, _ := gl.selectionMasks(s, [][]float64{q}, []float64{tau})
+	return masks[0]
 }
 
 // observeSelectivity records the fraction of local models a mask selects
@@ -481,15 +561,18 @@ func (gl *GlobalLocal) observeSelectivity(sel []bool) {
 
 // EstimateSearch sums the selected local models' estimates (ŷ = Σ ŷ^[i]).
 func (gl *GlobalLocal) EstimateSearch(q []float64, tau float64) float64 {
+	s := takeScratch()
+	defer putScratch(s)
 	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
-	sel := gl.SelectedSegments(q, tau)
+	masks, xc := gl.selectionMasks(s, [][]float64{q}, []float64{tau})
 	sp.End()
+	sel := masks[0]
 	gl.observeSelectivity(sel)
 	sp = telemetry.StartStage(telemetry.StageLocalEval)
 	var total float64
 	for i, on := range sel {
 		if on {
-			total += gl.deltaAdjust(i, gl.Locals[i].EstimateSearch(q, tau))
+			total += gl.deltaAdjust(i, gl.Locals[i].search(q, tau, sharedDists{d: xc}))
 		}
 	}
 	sp.End()
@@ -514,8 +597,10 @@ func (gl *GlobalLocal) EstimateSearchBatch(qs [][]float64, taus []float64) []flo
 	if len(qs) == 0 {
 		return out
 	}
+	s := takeScratch()
+	defer putScratch(s)
 	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
-	masks := gl.selectionMasks(qs, taus)
+	masks, xc := gl.selectionMasks(s, qs, taus)
 	sp.End()
 	for _, m := range masks {
 		gl.observeSelectivity(m)
@@ -538,14 +623,8 @@ func (gl *GlobalLocal) EstimateSearchBatch(qs [][]float64, taus []float64) []flo
 	}
 	tensor.DefaultPool().Do(len(idxs), func(t int) {
 		j := idxs[t]
-		g := groups[j]
-		gqs := make([][]float64, len(g))
-		gts := make([]float64, len(g))
-		for k, i := range g {
-			gqs[k] = qs[i]
-			gts[k] = taus[i]
-		}
-		ests[j] = gl.Locals[j].EstimateSearchBatch(gqs, gts)
+		gqs, gts := subBatch(qs, taus, groups[j])
+		ests[j] = gl.Locals[j].searchBatch(gqs, gts, sharedDists{xc, groups[j]})
 	})
 	sp.End()
 	// Deterministic reduction: ascending segment order per query.
@@ -570,28 +649,46 @@ func (gl *GlobalLocal) EstimateJoin(qs [][]float64, tau float64) float64 {
 	for i := range taus {
 		taus[i] = tau
 	}
+	s := takeScratch()
+	defer putScratch(s)
 	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
-	masks := gl.selectionMasks(qs, taus)
+	masks, xc := gl.selectionMasks(s, qs, taus)
 	sp.End()
 	for _, m := range masks {
 		gl.observeSelectivity(m)
 	}
 	sp = telemetry.StartStage(telemetry.StageLocalEval)
 	var total float64
+	var r joinRoute
 	for j, local := range gl.Locals {
-		var routed [][]float64
-		for i, q := range qs {
-			if masks[i][j] {
-				routed = append(routed, q)
-			}
-		}
-		if len(routed) == 0 {
+		if !r.gather(qs, masks, j) {
 			continue
 		}
-		total += gl.deltaAdjustJoin(j, local.EstimateJoinPooled(routed, tau), len(routed))
+		total += gl.deltaAdjustJoin(j, local.joinPooled(r.qs, tau, sharedDists{xc, r.rows}), len(r.qs))
 	}
 	sp.End()
 	return total
+}
+
+// joinRoute is the set of join queries routed to one local model: the
+// vectors and their batch rows (for the shared distance pass). Its slices
+// are reused from local to local.
+type joinRoute struct {
+	qs   [][]float64
+	rows []int
+}
+
+// gather fills r with the queries whose mask selects local j and reports
+// whether there are any.
+func (r *joinRoute) gather(qs [][]float64, masks [][]bool, j int) bool {
+	r.qs, r.rows = r.qs[:0], r.rows[:0]
+	for i, q := range qs {
+		if masks[i][j] {
+			r.qs = append(r.qs, q)
+			r.rows = append(r.rows, i)
+		}
+	}
+	return len(r.qs) > 0
 }
 
 // JoinSegSample is one labeled join training example with per-query
@@ -905,6 +1002,7 @@ func (gl *GlobalLocal) UnmarshalBinary(data []byte) error {
 			gl.refs[i] = ref
 		}
 	}
+	gl.shareCentroids()
 	gl.cfg.fill(gl.Dim)
 	return nil
 }

@@ -81,7 +81,7 @@ func (g *GlobalModel) params() []*nn.Param {
 // forward produces per-segment logits for a batch.
 func (g *GlobalModel) forward(qs [][]float64, taus []float64, train bool) *tensor.Matrix {
 	if !train {
-		return g.infer(qs, taus, nil)
+		return g.infer(qs, taus, sharedDists{}, nil)
 	}
 	z4 := g.E4.Forward(queryBatch(nil, qs, g.Dim), true)
 	z5 := g.E5.Forward(tauBatch(nil, taus, g.TauScale), true)
@@ -91,12 +91,13 @@ func (g *GlobalModel) forward(qs [][]float64, taus []float64, train bool) *tenso
 
 // infer is the pure inference path for the logits (see BasicModel.infer for
 // the scratch-ownership contract; feature builds run first under the
-// feature_build span).
-func (g *GlobalModel) infer(qs [][]float64, taus []float64, s *nn.Scratch) *tensor.Matrix {
+// feature_build span). x_C comes from xc when it holds the GL estimate's
+// shared distance pass.
+func (g *GlobalModel) infer(qs [][]float64, taus []float64, xc sharedDists, s *nn.Scratch) *tensor.Matrix {
 	sp := telemetry.StartStage(telemetry.StageFeatureBuild)
 	xq := queryBatch(s, qs, g.Dim)
 	xt := tauBatch(s, taus, g.TauScale)
-	xd := distBatch(s, qs, g.Centroids, g.Metric, g.TauScale)
+	xd := xc.features(s, qs, g.Centroids, g.Metric, g.TauScale)
 	sp.End()
 	z4 := g.E4.Infer(xq, s)
 	z5 := g.E5.Infer(xt, s)
@@ -214,34 +215,35 @@ func (g *GlobalModel) Train(samples []GlobalSample, cfg GlobalTrainConfig) error
 	return nil
 }
 
+// probs is the probability matrix of a batch (one row per query) in
+// scratch memory, with x_C read from xc when it holds the shared pass.
+func (g *GlobalModel) probs(s *nn.Scratch, qs [][]float64, taus []float64, xc sharedDists) *tensor.Matrix {
+	p := g.infer(qs, taus, xc, s)
+	for i, v := range p.Data {
+		p.Data[i] = tensor.Sigmoid(v)
+	}
+	return p
+}
+
 // Probs returns the per-segment selection probabilities I^[i] for one
 // query.
 func (g *GlobalModel) Probs(q []float64, tau float64) []float64 {
 	s := takeScratch()
 	defer putScratch(s)
-	logits := g.infer([][]float64{q}, []float64{tau}, s)
-	out := make([]float64, g.Segments)
-	for i := range out {
-		out[i] = tensor.Sigmoid(logits.Data[i])
-	}
-	return out
+	return append([]float64(nil), g.probs(s, [][]float64{q}, []float64{tau}, sharedDists{}).Data...)
 }
 
 // ProbsBatch returns selection probabilities for many queries at once.
 func (g *GlobalModel) ProbsBatch(qs [][]float64, taus []float64) [][]float64 {
 	s := takeScratch()
 	defer putScratch(s)
-	logits := g.infer(qs, taus, s)
-	// One backing array for all rows: the batched serving path calls this
-	// once per batch, so per-row allocations would dominate its alloc count.
-	out := make([][]float64, logits.Rows)
-	flat := make([]float64, logits.Rows*g.Segments)
+	p := g.probs(s, qs, taus, sharedDists{})
+	// One backing array for all rows, so per-row allocations don't
+	// dominate a batch's alloc count.
+	out := make([][]float64, p.Rows)
+	flat := append([]float64(nil), p.Data...)
 	for i := range out {
-		row := flat[i*g.Segments : (i+1)*g.Segments]
-		for j := 0; j < g.Segments; j++ {
-			row[j] = tensor.Sigmoid(logits.At(i, j))
-		}
-		out[i] = row
+		out[i] = flat[i*g.Segments : (i+1)*g.Segments]
 	}
 	return out
 }

@@ -240,8 +240,8 @@ func TestLocalPlusSelectsAllSurvivingSegments(t *testing.T) {
 	q := f.w.Test[0]
 	sel := gl.SelectedSegments(q.Vec, q.Tau)
 	for i, on := range sel {
-		if on != !gl.provablyEmpty(q.Vec, q.Tau, i) {
-			t.Fatalf("segment %d: selected=%v, provablyEmpty=%v", i, on, gl.provablyEmpty(q.Vec, q.Tau, i))
+		if on != !gl.provablyEmpty(q.Vec, q.Tau, i, nil) {
+			t.Fatalf("segment %d: selected=%v, provablyEmpty=%v", i, on, gl.provablyEmpty(q.Vec, q.Tau, i, nil))
 		}
 	}
 }
@@ -253,7 +253,7 @@ func TestGlobalLocalTrianglePrune(t *testing.T) {
 	for _, q := range f.w.Test {
 		sel := gl.SelectedSegments(q.Vec, q.Tau)
 		for i, on := range sel {
-			if on && gl.provablyEmpty(q.Vec, q.Tau, i) {
+			if on && gl.provablyEmpty(q.Vec, q.Tau, i, nil) {
 				t.Fatalf("segment %d selected despite provable emptiness", i)
 			}
 		}
@@ -306,7 +306,7 @@ func TestTrianglePruneNeverDropsTruePositives(t *testing.T) {
 	// provably empty.
 	for _, q := range f.w.Test {
 		for i, c := range q.SegCards {
-			if c > 0 && gl.provablyEmpty(q.Vec, q.Tau, i) {
+			if c > 0 && gl.provablyEmpty(q.Vec, q.Tau, i, nil) {
 				t.Fatalf("triangle bound pruned a segment with %v true matches", c)
 			}
 		}

@@ -426,11 +426,11 @@ func (gl *GlobalLocal) EstimateSearchBatchPrecision(qs [][]float64, taus []float
 	flat := make([]bool, len(qs)*gl.Seg.K)
 	for i, q := range qs {
 		masks[i] = flat[i*gl.Seg.K : (i+1)*gl.Seg.K]
-		if probs == nil {
-			gl.maskInto(masks[i], q, taus[i], nil)
-		} else {
-			gl.maskInto(masks[i], q, taus[i], probs[i])
+		var p []float64
+		if probs != nil {
+			p = probs[i]
 		}
+		gl.maskInto(masks[i], q, taus[i], p, nil)
 	}
 	sp.End()
 	for _, m := range masks {
@@ -455,13 +455,7 @@ func (gl *GlobalLocal) EstimateSearchBatchPrecision(qs [][]float64, taus []float
 	}
 	tensor.DefaultPool().Do(len(idxs), func(t int) {
 		j := idxs[t]
-		g := groups[j]
-		gqs := make([][]float64, len(g))
-		gts := make([]float64, len(g))
-		for k, i := range g {
-			gqs[k] = qs[i]
-			gts[k] = taus[i]
-		}
+		gqs, gts := subBatch(qs, taus, groups[j])
 		ests[j], errs[j] = gl.Locals[j].EstimateSearchBatchLowered(gqs, gts, p)
 	})
 	sp.End()

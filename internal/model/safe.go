@@ -6,6 +6,7 @@ import (
 
 	"simquery/internal/faultinject"
 	"simquery/internal/faulttol"
+	"simquery/internal/nn"
 	"simquery/internal/reqtrace"
 	"simquery/internal/telemetry"
 	"simquery/internal/tensor"
@@ -36,20 +37,21 @@ func (e *SegmentError) Error() string {
 // Unwrap implements errors.Unwrap.
 func (e *SegmentError) Unwrap() error { return e.Err }
 
-// routeSafe computes the selection masks for a batch with panic isolation
-// around the global model's forward pass.
-func (gl *GlobalLocal) routeSafe(qs [][]float64, taus []float64) (masks [][]bool, err error) {
+// routeSafe is selectionMasks with panic isolation around the distance pass
+// and the global model's forward pass.
+func (gl *GlobalLocal) routeSafe(s *nn.Scratch, qs [][]float64, taus []float64) (masks [][]bool, xc *tensor.Matrix, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			masks, err = nil, fmt.Errorf("model: global routing failed: %w", faulttol.Recovered(r))
+			masks, xc, err = nil, nil, fmt.Errorf("model: global routing failed: %w", faulttol.Recovered(r))
 		}
 	}()
-	return gl.selectionMasks(qs, taus), nil
+	masks, xc = gl.selectionMasks(s, qs, taus)
+	return masks, xc, nil
 }
 
 // localSearchSafe evaluates local model i on one query, converting a panic
 // into a *SegmentError.
-func (gl *GlobalLocal) localSearchSafe(i int, q []float64, tau float64) (v float64, err error) {
+func (gl *GlobalLocal) localSearchSafe(i int, q []float64, tau float64, xc sharedDists) (v float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, err = 0, &SegmentError{Seg: i, Err: faulttol.Recovered(r)}
@@ -58,12 +60,12 @@ func (gl *GlobalLocal) localSearchSafe(i int, q []float64, tau float64) (v float
 	if faultinject.Armed() {
 		faultinject.LocalEval.Fire()
 	}
-	return gl.Locals[i].EstimateSearch(q, tau), nil
+	return gl.Locals[i].search(q, tau, xc), nil
 }
 
 // localSearchBatchSafe evaluates local model i on its sub-batch, converting
 // a panic into a *SegmentError.
-func (gl *GlobalLocal) localSearchBatchSafe(i int, qs [][]float64, taus []float64) (out []float64, err error) {
+func (gl *GlobalLocal) localSearchBatchSafe(i int, qs [][]float64, taus []float64, xc sharedDists) (out []float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, &SegmentError{Seg: i, Err: faulttol.Recovered(r)}
@@ -72,7 +74,7 @@ func (gl *GlobalLocal) localSearchBatchSafe(i int, qs [][]float64, taus []float6
 	if faultinject.Armed() {
 		faultinject.LocalEval.Fire()
 	}
-	return gl.Locals[i].EstimateSearchBatch(qs, taus), nil
+	return gl.Locals[i].searchBatch(qs, taus, xc), nil
 }
 
 // EstimateSearchCtx is EstimateSearch with per-request cancellation and
@@ -84,10 +86,12 @@ func (gl *GlobalLocal) EstimateSearchCtx(ctx context.Context, q []float64, tau f
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	s := takeScratch()
+	defer putScratch(s)
 	tr := reqtrace.FromContext(ctx)
 	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
 	st := tr.StartStage(reqtrace.StageGlobalRoute)
-	masks, err := gl.routeSafe([][]float64{q}, []float64{tau})
+	masks, xc, err := gl.routeSafe(s, [][]float64{q}, []float64{tau})
 	st.End()
 	sp.End()
 	if err != nil {
@@ -107,7 +111,7 @@ func (gl *GlobalLocal) EstimateSearchCtx(ctx context.Context, q []float64, tau f
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		v, err := gl.localSearchSafe(i, q, tau)
+		v, err := gl.localSearchSafe(i, q, tau, sharedDists{d: xc})
 		if err != nil {
 			return 0, err
 		}
@@ -135,10 +139,12 @@ func (gl *GlobalLocal) EstimateSearchBatchCtx(ctx context.Context, qs [][]float6
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	s := takeScratch()
+	defer putScratch(s)
 	tr := reqtrace.FromContext(ctx)
 	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
 	st := tr.StartStage(reqtrace.StageGlobalRoute)
-	masks, err := gl.routeSafe(qs, taus)
+	masks, xc, err := gl.routeSafe(s, qs, taus)
 	st.End()
 	sp.End()
 	if err != nil {
@@ -170,14 +176,8 @@ func (gl *GlobalLocal) EstimateSearchBatchCtx(ctx context.Context, qs [][]float6
 		if ctx.Err() != nil {
 			return // cancelled: skip remaining sub-batches
 		}
-		g := groups[j]
-		gqs := make([][]float64, len(g))
-		gts := make([]float64, len(g))
-		for k, i := range g {
-			gqs[k] = qs[i]
-			gts[k] = taus[i]
-		}
-		ests[j], errs[j] = gl.localSearchBatchSafe(j, gqs, gts)
+		gqs, gts := subBatch(qs, taus, groups[j])
+		ests[j], errs[j] = gl.localSearchBatchSafe(j, gqs, gts, sharedDists{xc, groups[j]})
 	})
 	st.End()
 	sp.End()
@@ -216,10 +216,12 @@ func (gl *GlobalLocal) EstimateJoinCtx(ctx context.Context, qs [][]float64, tau 
 	for i := range taus {
 		taus[i] = tau
 	}
+	s := takeScratch()
+	defer putScratch(s)
 	tr := reqtrace.FromContext(ctx)
 	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
 	st := tr.StartStage(reqtrace.StageGlobalRoute)
-	masks, err := gl.routeSafe(qs, taus)
+	masks, xc, err := gl.routeSafe(s, qs, taus)
 	st.End()
 	sp.End()
 	if err != nil {
@@ -233,31 +235,26 @@ func (gl *GlobalLocal) EstimateJoinCtx(ctx context.Context, qs [][]float64, tau 
 	st = tr.StartStage(reqtrace.StageLocalEval)
 	defer st.End()
 	var total float64
+	var r joinRoute
 	for j := range gl.Locals {
-		var routed [][]float64
-		for i, q := range qs {
-			if masks[i][j] {
-				routed = append(routed, q)
-			}
-		}
-		if len(routed) == 0 {
+		if !r.gather(qs, masks, j) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		v, err := gl.localJoinSafe(j, routed, tau)
+		v, err := gl.localJoinSafe(j, r.qs, tau, sharedDists{xc, r.rows})
 		if err != nil {
 			return 0, err
 		}
-		total += gl.deltaAdjustJoin(j, v, len(routed))
+		total += gl.deltaAdjustJoin(j, v, len(r.qs))
 	}
 	return total, nil
 }
 
 // localJoinSafe evaluates local model j's pooled join estimate, converting
 // a panic into a *SegmentError.
-func (gl *GlobalLocal) localJoinSafe(j int, routed [][]float64, tau float64) (v float64, err error) {
+func (gl *GlobalLocal) localJoinSafe(j int, routed [][]float64, tau float64, xc sharedDists) (v float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, err = 0, &SegmentError{Seg: j, Err: faulttol.Recovered(r)}
@@ -266,5 +263,5 @@ func (gl *GlobalLocal) localJoinSafe(j int, routed [][]float64, tau float64) (v 
 	if faultinject.Armed() {
 		faultinject.LocalEval.Fire()
 	}
-	return gl.Locals[j].EstimateJoinPooled(routed, tau), nil
+	return gl.Locals[j].joinPooled(routed, tau, xc), nil
 }

@@ -11,8 +11,7 @@ import (
 // TestEstimateSearchAllocsNopRecorder pins the allocation budget of the
 // serving hot path with telemetry disabled: the instrumentation (span
 // starts, selectivity gate) must add zero allocations on top of the
-// pre-telemetry steady state — one selection mask + one probs row for the
-// GL path.
+// pre-telemetry steady state.
 func TestEstimateSearchAllocsNopRecorder(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime bypasses sync.Pool; allocation counts are not meaningful")

@@ -86,42 +86,71 @@ func (c *Conv1D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	l := c.inLen(x.Cols)
 	c.lastX = x
 	c.lastL = l
-	return c.apply(x, tensor.NewMatrix(x.Rows, c.OutChannels*c.outLen(l)), l)
+	return c.apply(x, tensor.NewMatrix(x.Rows, c.OutChannels*c.outLen(l)), l, nil)
 }
 
 // Infer applies the convolution into scratch memory without touching layer
 // state.
 func (c *Conv1D) Infer(x *tensor.Matrix, scratch *Scratch) *tensor.Matrix {
 	l := c.inLen(x.Cols)
-	return c.apply(x, scratch.Matrix(x.Rows, c.OutChannels*c.outLen(l)), l)
+	return c.apply(x, scratch.Matrix(x.Rows, c.OutChannels*c.outLen(l)), l, scratch)
 }
 
-// apply fills out with the convolution of x (per-channel length l).
-func (c *Conv1D) apply(x, out *tensor.Matrix, l int) *tensor.Matrix {
+// apply fills out with the convolution of x (per-channel length l), lowered
+// per sample to one GEMM: out_n (OutCh × outL) = W (OutCh × InCh·K) ·
+// colsᵀ, where row t of cols (outL × InCh·K) is the zero-padded input
+// window of output position t (im2col). The channel-major output row is
+// exactly that OutCh × outL matrix, and each row's arithmetic depends only
+// on the layer shape, so the result is row-invariant across batch sizes.
+func (c *Conv1D) apply(x, out *tensor.Matrix, l int, scratch *Scratch) *tensor.Matrix {
 	outL := c.outLen(l)
+	ck := c.InChannels * c.Kernel
+	w := tensor.Matrix{Rows: c.OutChannels, Cols: ck, Data: c.W.W}
+	// The segment layer (one channel, stride = kernel, no padding) tiles
+	// the row with its windows, so the row itself is the cols matrix.
+	direct := c.InChannels == 1 && c.Stride == c.Kernel && c.Padding == 0 && outL*c.Kernel <= l
+	var cols *tensor.Matrix
+	if !direct {
+		// Taps outside the input are never written, so the zeroes Matrix
+		// hands out stay in place across samples.
+		cols = scratch.Matrix(outL, ck)
+	}
 	for n := 0; n < x.Rows; n++ {
 		xr := x.Row(n)
+		view := tensor.Matrix{Rows: outL, Cols: ck}
+		if direct {
+			view.Data = xr[:outL*ck]
+		} else {
+			c.im2col(cols, xr, l)
+			view.Data = cols.Data
+		}
 		or := out.Row(n)
-		for co := 0; co < c.OutChannels; co++ {
-			for t := 0; t < outL; t++ {
-				sum := c.B.W[co]
-				base := t*c.Stride - c.Padding
-				// Clip the window to the valid input range once, then
-				// reduce each channel with one contiguous Dot instead of a
-				// bounds check per tap.
-				lo, hi := clipWindow(base, c.Kernel, l)
-				if lo < hi {
-					for ci := 0; ci < c.InChannels; ci++ {
-						wofs := (co*c.InChannels + ci) * c.Kernel
-						xofs := ci*l + base
-						sum += tensor.Dot(c.W.W[wofs+lo:wofs+hi], xr[xofs+lo:xofs+hi])
-					}
-				}
-				or[co*outL+t] = sum
+		o := tensor.Matrix{Rows: c.OutChannels, Cols: outL, Data: or}
+		tensor.MatMulTransB(&o, &w, &view)
+		for co, b := range c.B.W {
+			row := or[co*outL : (co+1)*outL]
+			for t := range row {
+				row[t] += b
 			}
 		}
 	}
 	return out
+}
+
+// im2col copies the in-range taps of every output window of xr into the
+// rows of cols, channel-major within a row to match W's layout.
+func (c *Conv1D) im2col(cols *tensor.Matrix, xr []float64, l int) {
+	for t := 0; t < cols.Rows; t++ {
+		base := t*c.Stride - c.Padding
+		lo, hi := clipWindow(base, c.Kernel, l)
+		if lo >= hi {
+			continue
+		}
+		cr := cols.Row(t)
+		for ci := 0; ci < c.InChannels; ci++ {
+			copy(cr[ci*c.Kernel+lo:ci*c.Kernel+hi], xr[ci*l+base+lo:ci*l+base+hi])
+		}
+	}
 }
 
 // Backward accumulates weight gradients and returns the input gradient.
