@@ -41,9 +41,12 @@ race:
 	$(GO) test -race ./...
 
 # kernel-smoke runs the GEMM/pool property and concurrency tests under the
-# race detector — the fast gate for kernel-layer changes (DESIGN.md §9).
+# race detector — the fast gate for kernel-layer changes (DESIGN.md §9) —
+# and vets an arm64 build, so the portable fallback of the amd64 assembly
+# kernel keeps compiling.
 kernel-smoke:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) test -run TestKernel -race ./internal/tensor/ ./internal/model/
 
 # chaos runs the fault-injection suite — panic isolation, degraded
@@ -80,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./cardest/
 	$(GO) test -run='^$$' -fuzz=FuzzPrecisionServe -fuzztime=$(FUZZTIME) ./cardest/
 	$(GO) test -run='^$$' -fuzz=FuzzParseWorkers -fuzztime=$(FUZZTIME) ./internal/tensor/
+	$(GO) test -run='^$$' -fuzz=FuzzMatMulTransB -fuzztime=$(FUZZTIME) ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz=FuzzQuantize8 -fuzztime=$(FUZZTIME) ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=$(FUZZTIME) ./cardest/plan/
 	$(GO) test -run='^$$' -fuzz=FuzzMutationLog -fuzztime=$(FUZZTIME) ./internal/dataset/

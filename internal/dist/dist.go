@@ -107,6 +107,38 @@ func Distance(m Metric, a, b []float64) float64 {
 	}
 }
 
+// DistancesTo sets out[j] = Distance(m, q, anchors[j]) for every anchor,
+// bitwise. For L2 it walks four anchors at a time, each with its own
+// sequential sum in Distance's order, so four add chains overlap where a
+// single one would wait on add latency. out must hold len(anchors)
+// elements.
+func DistancesTo(m Metric, q []float64, anchors [][]float64, out []float64) {
+	out = out[:len(anchors)]
+	j := 0
+	if m == L2 {
+		for ; j+4 <= len(anchors); j += 4 {
+			for _, a := range anchors[j : j+4] {
+				if len(a) != len(q) {
+					panic(fmt.Sprintf("dist: length mismatch %d vs %d", len(q), len(a)))
+				}
+			}
+			a0, a1, a2, a3 := anchors[j][:len(q)], anchors[j+1][:len(q)], anchors[j+2][:len(q)], anchors[j+3][:len(q)]
+			var s0, s1, s2, s3 float64
+			for i, v := range q {
+				d0, d1, d2, d3 := v-a0[i], v-a1[i], v-a2[i], v-a3[i]
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			out[j], out[j+1], out[j+2], out[j+3] = math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
+		}
+	}
+	for ; j < len(anchors); j++ {
+		out[j] = Distance(m, q, anchors[j])
+	}
+}
+
 // LmDistance computes the general L_m norm distance for m ≥ 1.
 func LmDistance(m float64, a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -262,3 +262,41 @@ func TestSegmentDistancesBadCountPanics(t *testing.T) {
 	}()
 	SegmentDistances(L2, []float64{1, 2}, []float64{1, 2}, 0)
 }
+
+// TestDistancesToMatchesDistance checks DistancesTo bit for bit against
+// Distance for every metric, at anchor counts that leave every remainder
+// of the four-anchor L2 block, and that it rejects a ragged anchor.
+func TestDistancesToMatchesDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const dim = 37
+	vec := func() []float64 {
+		v := make([]float64, dim)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		return v
+	}
+	for _, m := range []Metric{L1, L2, Cosine, Angular, Hamming} {
+		for _, n := range []int{0, 1, 3, 4, 5, 6, 7, 9, 12, 13} {
+			q := vec()
+			anchors := make([][]float64, n)
+			for j := range anchors {
+				anchors[j] = vec()
+			}
+			out := make([]float64, n)
+			DistancesTo(m, q, anchors, out)
+			for j, a := range anchors {
+				if want := Distance(m, q, a); math.Float64bits(out[j]) != math.Float64bits(want) {
+					t.Fatalf("%v n=%d anchor %d: DistancesTo %v, Distance %v", m, n, j, out[j], want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ragged anchor did not panic")
+		}
+	}()
+	q := vec()
+	DistancesTo(L2, q, [][]float64{q, q, q, q[:dim-1]}, make([]float64, 4))
+}

@@ -108,8 +108,9 @@ func distBatch(s *nn.Scratch, qs [][]float64, anchors [][]float64, metric dist.M
 	m := s.Matrix(len(qs), len(anchors))
 	for i, q := range qs {
 		row := m.Row(i)
-		for j, a := range anchors {
-			row[j] = dist.Distance(metric, q, a) / scale
+		dist.DistancesTo(metric, q, anchors, row)
+		for j := range row {
+			row[j] /= scale
 		}
 	}
 	return m

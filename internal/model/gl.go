@@ -318,10 +318,7 @@ func (gl *GlobalLocal) centroidDists(s *nn.Scratch, qs [][]float64) *tensor.Matr
 	defer sp.End()
 	m := s.Matrix(len(qs), gl.Seg.K)
 	for i, q := range qs {
-		row := m.Row(i)
-		for j, c := range gl.Seg.Centroids {
-			row[j] = dist.Distance(gl.Metric, q, c)
-		}
+		dist.DistancesTo(gl.Metric, q, gl.Seg.Centroids, m.Row(i))
 	}
 	return m
 }

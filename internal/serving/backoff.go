@@ -2,7 +2,7 @@ package serving
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,9 +75,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // when a request is already slower than (nearly) everything recently
 // served, so the steady-state hedge rate stays ~1%.
 type latencyTracker struct {
-	mu   sync.Mutex
-	ring []time.Duration
-	n    int // total observations
+	mu     sync.Mutex
+	ring   []time.Duration
+	sorted []time.Duration // P99's sort buffer, the ring's size; guarded by mu
+	n      int             // total observations
 }
 
 // newLatencyTracker tracks the most recent size observations (default 128).
@@ -85,7 +86,7 @@ func newLatencyTracker(size int) *latencyTracker {
 	if size <= 0 {
 		size = 128
 	}
-	return &latencyTracker{ring: make([]time.Duration, size)}
+	return &latencyTracker{ring: make([]time.Duration, size), sorted: make([]time.Duration, size)}
 }
 
 // Observe records one successful request latency.
@@ -109,8 +110,8 @@ func (lt *latencyTracker) P99() time.Duration {
 	if lt.n < 16 {
 		return 0
 	}
-	tmp := make([]time.Duration, n)
+	tmp := lt.sorted[:n]
 	copy(tmp, lt.ring[:n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	slices.Sort(tmp)
 	return tmp[(n-1)*99/100]
 }

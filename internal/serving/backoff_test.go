@@ -2,6 +2,8 @@ package serving
 
 import (
 	"context"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -93,5 +95,30 @@ func TestLatencyTrackerP99(t *testing.T) {
 	}
 	if p := lt.P99(); p != time.Millisecond {
 		t.Fatalf("after flood: p99=%v, want 1ms", p)
+	}
+}
+
+// TestLatencyTrackerP99MatchesReference checks P99 against a sorted-copy
+// reference quantile over a wrapped ring of random latencies, and pins the
+// call at zero allocations: it runs on every routed request.
+func TestLatencyTrackerP99MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	lt := newLatencyTracker(128)
+	var all []time.Duration
+	for i := 0; i < 300; i++ {
+		d := time.Duration(rng.Int63n(int64(50 * time.Millisecond)))
+		lt.Observe(d)
+		all = append(all, d)
+		if len(all) < 16 {
+			continue
+		}
+		window := append([]time.Duration(nil), all[max(0, len(all)-128):]...)
+		sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
+		if got, want := lt.P99(), window[(len(window)-1)*99/100]; got != want {
+			t.Fatalf("after %d observations: P99 %v, reference %v", len(all), got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = lt.P99() }); n != 0 {
+		t.Fatalf("P99 allocates %.1f/op, want 0", n)
 	}
 }

@@ -77,11 +77,23 @@ func MatMulTransB(out, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: matmulTB shape mismatch (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
+	checkData("matmulTB out", out)
+	checkData("matmulTB a", a)
+	checkData("matmulTB b", b)
 	if !gemmParallel(a.Rows, b.Rows, a.Cols) {
 		matMulTransBRange(out, a, b, 0, a.Rows)
 		return
 	}
 	matMulTransBPar(*out, *a, *b)
+}
+
+// checkData panics unless m.Data holds all Rows·Cols elements. MatMulTransB
+// checks every operand before any kernel runs, so a short slice fails
+// cleanly instead of handing the FMA kernel memory it does not own.
+func checkData(what string, m *Matrix) {
+	if len(m.Data) < m.Rows*m.Cols {
+		panic(fmt.Sprintf("tensor: %s data length %d < %dx%d", what, len(m.Data), m.Rows, m.Cols))
+	}
 }
 
 // matMulTransBPar: see matMulPar for why the headers pass by value.
@@ -117,10 +129,12 @@ func matMulTransAPar(out, a, b Matrix) {
 // stay allocation-free) and only build a range closure when this returns
 // true.
 func gemmParallel(rows, cols, depth int) bool {
-	if rows <= 1 {
+	if rows <= 1 || 2*rows*cols*depth < parallelFLOPs {
 		return false
 	}
-	return gemmParallelism() > 1 && 2*rows*cols*depth >= parallelFLOPs
+	// gemmParallelism reads GOMAXPROCS under the scheduler lock, so it comes
+	// after the threshold that every inference-sized product fails.
+	return gemmParallelism() > 1
 }
 
 // gemmParallelism is the effective GEMM task-count cap: pool workers, but
@@ -231,12 +245,45 @@ func matMulRange(out, a, b *Matrix, i0, i1 int) {
 }
 
 // matMulTransBRange computes rows [i0, i1) of out = a × bᵀ — the inference
-// hot path (Dense runs x·Wᵀ). Four rows of b are reduced at once against
-// one row of a with two accumulators per output (8 independent FP chains),
-// and the column fringe uses dot2, whose summation order matches one
-// micro-kernel lane exactly — so an element's value never depends on which
-// lane computed it.
+// hot path (Dense runs x·Wᵀ, the lowered Conv1D W·colsᵀ). It takes the
+// AVX2+FMA kernel when the CPU has one and the portable kernel otherwise;
+// the choice is fixed per process, so row invariance holds either way.
 func matMulTransBRange(out, a, b *Matrix, i0, i1 int) {
+	if useFMA {
+		matMulTransBRangeFMA(out, a, b, i0, i1)
+		return
+	}
+	matMulTransBRangeGo(out, a, b, i0, i1)
+}
+
+// matMulTransBRangeFMA runs fmaRowTransB once per output row. The slicing
+// bounds-checks every row of a and out and all of b before a pointer
+// reaches the assembly, which then reads and writes only inside them.
+func matMulTransBRangeFMA(out, a, b *Matrix, i0, i1 int) {
+	K := a.Cols
+	n := out.Cols
+	if n == 0 {
+		return
+	}
+	if K == 0 {
+		clear(out.Data[i0*n : i1*n])
+		return
+	}
+	bd := b.Data[:n*K]
+	for i := i0; i < i1; i++ {
+		arow := a.Data[i*K:][:K]
+		orow := out.Data[i*n:][:n]
+		fmaRowTransB(&orow[0], &arow[0], &bd[0], K, n)
+	}
+}
+
+// matMulTransBRangeGo is the portable kernel: the only one off amd64 or
+// without AVX2+FMA, and the reference the FMA kernel is tested against.
+// Four rows of b are reduced at once against one row of a with two
+// accumulators per output (8 independent FP chains), and the column fringe
+// uses dot2, whose summation order matches one micro-kernel lane exactly —
+// so an element's value never depends on which lane computed it.
+func matMulTransBRangeGo(out, a, b *Matrix, i0, i1 int) {
 	K := a.Cols
 	n := out.Cols
 	for i := i0; i < i1; i++ {

@@ -298,3 +298,141 @@ func BenchmarkGEMMTransBNaive256(b *testing.B) { benchGEMM(b, 256, 1, NaiveMatMu
 func BenchmarkGEMMTransBTiled256(b *testing.B) { benchGEMM(b, 256, 1, MatMulTransB) }
 func BenchmarkGEMMTransANaive256(b *testing.B) { benchGEMM(b, 256, 1, NaiveMatMulTransA) }
 func BenchmarkGEMMTransATiled256(b *testing.B) { benchGEMM(b, 256, 1, MatMulTransA) }
+
+// fmaContractDot is the FMA kernel's numeric contract in scalar Go: four
+// math.FMA lanes over k < K&^3 (lane l takes k ≡ l mod 4), reduced as
+// (l0+l2)+(l1+l3), then the K mod 4 tail fused in in index order.
+func fmaContractDot(a, b []float64) float64 {
+	var l [4]float64
+	k4 := len(a) &^ 3
+	for k := 0; k < k4; k++ {
+		l[k%4] = math.FMA(a[k], b[k], l[k%4])
+	}
+	s := (l[0] + l[2]) + (l[1] + l[3])
+	for k := k4; k < len(a); k++ {
+		s = math.FMA(a[k], b[k], s)
+	}
+	return s
+}
+
+// TestKernelSIMDMatchesPortable checks the AVX2+FMA kernel bit for bit
+// against its scalar contract, within 1e-12 relative of the portable
+// kernel (relative to Σ|a_k·b_k|, the scale rounding error is bounded by),
+// and within kernelTol of the naive reference, over every lane/tail case
+// of K, every block/fringe case of n, and 1–5 rows.
+func TestKernelSIMDMatchesPortable(t *testing.T) {
+	if !useFMA {
+		t.Skip("CPU lacks AVX2/FMA: the portable kernel is the only path")
+	}
+	rng := rand.New(rand.NewSource(19))
+	for _, K := range []int{0, 1, 2, 3, 4, 5, 7, 11, 16, 128} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 32} {
+			for rows := 1; rows <= 5; rows++ {
+				a := randMatrix(rng, rows, K)
+				b := randMatrix(rng, n, K)
+				simd := NewMatrix(rows, n)
+				portable := NewMatrix(rows, n)
+				naive := NewMatrix(rows, n)
+				for i := range simd.Data {
+					simd.Data[i] = math.NaN() // every element must be written
+				}
+				matMulTransBRangeFMA(simd, a, b, 0, rows)
+				matMulTransBRangeGo(portable, a, b, 0, rows)
+				NaiveMatMulTransB(naive, a, b)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < n; j++ {
+						ar, br := a.Row(i), b.Row(j)
+						got := simd.At(i, j)
+						if want := fmaContractDot(ar, br); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("K=%d n=%d rows=%d (%d,%d): %v, contract says %v", K, n, rows, i, j, got, want)
+						}
+						var scale float64
+						for k := range ar {
+							scale += math.Abs(ar[k] * br[k])
+						}
+						if d := math.Abs(got - portable.At(i, j)); d > 1e-12*scale {
+							t.Fatalf("K=%d n=%d rows=%d (%d,%d): |simd-portable| %g > 1e-12·%g", K, n, rows, i, j, d, scale)
+						}
+						if d := math.Abs(got - naive.At(i, j)); d > kernelTol {
+							t.Fatalf("K=%d n=%d rows=%d (%d,%d): |simd-naive| %g > %g", K, n, rows, i, j, d, kernelTol)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelTransBShortDataPanics checks that MatMulTransB rejects an
+// operand whose Data is shorter than Rows·Cols before any kernel writes a
+// single output element.
+func TestKernelTransBShortDataPanics(t *testing.T) {
+	const rows, k, n = 3, 6, 5
+	for _, short := range []string{"out", "a", "b"} {
+		t.Run(short, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			a := randMatrix(rng, rows, k)
+			b := randMatrix(rng, n, k)
+			out := NewMatrix(rows, n)
+			for i := range out.Data {
+				out.Data[i] = -1
+			}
+			switch short {
+			case "out":
+				out.Data = out.Data[:len(out.Data)-1]
+			case "a":
+				a.Data = a.Data[:len(a.Data)-1]
+			case "b":
+				b.Data = b.Data[:len(b.Data)-1]
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("short %s.Data did not panic", short)
+				}
+				for i, v := range out.Data {
+					if v != -1 {
+						t.Fatalf("out[%d] written before the panic", i)
+					}
+				}
+			}()
+			MatMulTransB(out, a, b)
+		})
+	}
+}
+
+var sinkMatrix *Matrix
+
+// BenchmarkKernelTransBShapes times the inference GEMM on the model's
+// layer shapes, for the kernel this CPU takes and for the portable one,
+// and reports ns per multiply-add.
+func BenchmarkKernelTransBShapes(b *testing.B) {
+	shapes := []struct {
+		name          string
+		rows, k, cols int
+	}{
+		{"dense128x32", 64, 128, 32},
+		{"dense32x32", 64, 32, 32},
+		{"dense12x16", 64, 12, 16},
+		{"conv8x12x11", 8, 12, 11},
+	}
+	kernels := []struct {
+		name string
+		fn   func(out, a, b *Matrix, i0, i1 int)
+	}{{"dispatch", matMulTransBRange}, {"portable", matMulTransBRangeGo}}
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range shapes {
+		x := randMatrix(rng, s.rows, s.k)
+		w := randMatrix(rng, s.cols, s.k)
+		out := NewMatrix(s.rows, s.cols)
+		for _, kn := range kernels {
+			b.Run(s.name+"/"+kn.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kn.fn(out, x, w, 0, s.rows)
+				}
+				sinkMatrix = out
+				madds := float64(b.N) * float64(s.rows*s.k*s.cols)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/madds, "ns/madd")
+			})
+		}
+	}
+}
