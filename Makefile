@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck govulncheck lint verify bench bench-full bench-smoke bench-serving kernel-smoke chaos serving-chaos retrain-chaos fuzz-smoke cover
+.PHONY: build test race vet fmt-check staticcheck govulncheck perfbench-check lint verify bench bench-full bench-smoke bench-serving kernel-smoke chaos serving-chaos retrain-chaos fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -35,7 +35,13 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-lint: vet fmt-check staticcheck govulncheck
+# perfbench-check vets and compiles (without running) the benchmark module,
+# a separate go.mod that imports this one: deleting or renaming an API the
+# benchmark uses fails here instead of in the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -run '^$$' ./...
+
+lint: vet fmt-check staticcheck govulncheck perfbench-check
 
 race:
 	$(GO) test -race ./...
@@ -81,10 +87,8 @@ retrain-chaos:
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./cardest/
-	$(GO) test -run='^$$' -fuzz=FuzzPrecisionServe -fuzztime=$(FUZZTIME) ./cardest/
 	$(GO) test -run='^$$' -fuzz=FuzzParseWorkers -fuzztime=$(FUZZTIME) ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulTransB -fuzztime=$(FUZZTIME) ./internal/tensor/
-	$(GO) test -run='^$$' -fuzz=FuzzQuantize8 -fuzztime=$(FUZZTIME) ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=$(FUZZTIME) ./cardest/plan/
 	$(GO) test -run='^$$' -fuzz=FuzzMutationLog -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzDriftThreshold -fuzztime=$(FUZZTIME) ./internal/probe/

@@ -314,8 +314,8 @@ type Adapter struct {
 // NewAdapter builds the adaptation coordinator for a hardened, reloadable
 // estimator serving d. serve must be the same options the current
 // generation was Harden-ed with — a post-retrain swap re-hardens the clone
-// with them (same cache, probe, fallback, precision). serve.Adapt supplies
-// the adaptation knobs (nil gets defaults).
+// with them (same cache, probe, fallback). serve.Adapt supplies the
+// adaptation knobs (nil gets defaults).
 func NewAdapter(d *Dataset, rel *Reloadable, serve ServeOptions) *Adapter {
 	a := &Adapter{ds: d, rel: rel, serve: serve, log: dataset.NewDeltaLog()}
 	if serve.Adapt != nil {

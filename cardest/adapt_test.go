@@ -207,6 +207,41 @@ func TestAdapterMonotoneWithDeltas(t *testing.T) {
 	}
 }
 
+// TestMonotoneEnvelopeTracksMutations pins the envelope cache to the model
+// generation: an envelope filled before a mutation batch must not answer
+// after it, so the wrapped estimate moves with the delta-corrected model.
+func TestMonotoneEnvelopeTracksMutations(t *testing.T) {
+	ds, _, a, test := newAdapterFixture(t, ServeOptions{})
+	mon, err := Monotone(a.primary(), ds.TauMax(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, tau := test[0], ds.TauMax()
+	before := mon.EstimateSearch(q.Vec, tau)
+	if before <= 0 {
+		t.Fatalf("pre-mutation envelope %v at τ_max; the check below would be vacuous", before)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ins := make([][]float64, 200)
+	for i := range ins {
+		ins[i] = jitter(q.Vec, rng)
+	}
+	if _, err := a.Mutate(ins, nil); err != nil {
+		t.Fatal(err)
+	}
+	after := mon.EstimateSearch(q.Vec, tau)
+	if after == before {
+		t.Fatalf("envelope unchanged across a 200-insert batch next to q: %v", after)
+	}
+	fresh, err := Monotone(a.primary(), ds.TauMax(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fresh.EstimateSearch(q.Vec, tau); after != want {
+		t.Fatalf("post-mutation envelope %v, a fresh wrapper answers %v", after, want)
+	}
+}
+
 type fixedEst struct{ v float64 }
 
 func (f *fixedEst) Name() string                                    { return "fixed" }

@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -13,13 +14,17 @@ import (
 // but the full network can still produce small non-monotone wiggles; this
 // wrapper removes them by evaluating the base estimator on a fixed τ grid
 // per query and returning the running maximum up to the requested τ
-// (isotonic envelope). Grid evaluations are cached per query vector.
+// (isotonic envelope). Grid evaluations are cached per query vector; the
+// cache is dropped whenever ModelGeneration moves (Save, Load, a mutation
+// batch, a retrain swap), so an envelope never outlives the model state
+// that produced it.
 type MonotoneEstimator struct {
 	base Estimator
 	grid []float64
 
 	mu    sync.Mutex
-	cache map[string][]float64 // query fingerprint → grid estimates (prefix-max)
+	gen   uint64               // ModelGeneration the cache was filled under
+	cache map[string][]float64 // exact query bits → grid estimates (prefix-max)
 }
 
 // Monotone wraps base with an isotonic envelope over gridSize thresholds
@@ -41,6 +46,7 @@ func Monotone(base Estimator, tauMax float64, gridSize int) (*MonotoneEstimator,
 	return &MonotoneEstimator{
 		base:  base,
 		grid:  grid,
+		gen:   ModelGeneration(),
 		cache: map[string][]float64{},
 	}, nil
 }
@@ -53,8 +59,13 @@ func (m *MonotoneEstimator) SizeBytes() int { return m.base.SizeBytes() + len(m.
 
 // gridEstimates returns prefix-maxed base estimates on the grid for q.
 func (m *MonotoneEstimator) gridEstimates(q []float64) []float64 {
-	key := fingerprint(q)
+	key := queryKey(q)
+	gen := ModelGeneration()
 	m.mu.Lock()
+	if m.gen != gen {
+		m.cache = map[string][]float64{}
+		m.gen = gen
+	}
 	cached, ok := m.cache[key]
 	m.mu.Unlock()
 	if ok {
@@ -70,10 +81,12 @@ func (m *MonotoneEstimator) gridEstimates(q []float64) []float64 {
 		ests[i] = running
 	}
 	m.mu.Lock()
-	if len(m.cache) > 4096 {
-		m.cache = map[string][]float64{} // simple bound on memory
+	if m.gen == gen {
+		if len(m.cache) > 4096 {
+			m.cache = map[string][]float64{} // simple bound on memory
+		}
+		m.cache[key] = ests
 	}
-	m.cache[key] = ests
 	m.mu.Unlock()
 	return ests
 }
@@ -127,22 +140,12 @@ func (m *MonotoneEstimator) EstimateJoin(qs [][]float64, tau float64) float64 {
 	return total
 }
 
-// fingerprint keys the cache on the query's raw bytes.
-func fingerprint(q []float64) string {
-	// FNV-1a over the float bits; collisions only cost accuracy of the
-	// envelope, never correctness of the base estimate (we still max with
-	// the direct estimate at τ).
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, v := range q {
-		bits := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			h ^= uint64(byte(bits >> s))
-			h *= prime
-		}
+// queryKey keys the cache on the query's exact float bits, so two queries
+// share an envelope only when they are bitwise the same vector.
+func queryKey(q []float64) string {
+	b := make([]byte, 8*len(q))
+	for i, v := range q {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
-	return fmt.Sprintf("%016x", h)
+	return string(b)
 }

@@ -47,10 +47,6 @@ type EstimatorInfo struct {
 	// CacheServed reports that single-query estimates can be answered from
 	// a τ-anchor estimate cache.
 	CacheServed bool
-	// Precision is the resolved serving tier ("f64", "f32", "int8"); only
-	// the hardened wrapper can serve a lowered tier, so everything else
-	// reports "f64".
-	Precision string
 	// SizeBytes is the model footprint.
 	SizeBytes int
 }
@@ -82,7 +78,6 @@ func describeVia(e Estimator, probe any) EstimatorInfo {
 		Family:     "unknown",
 		TauMax:     math.Inf(1),
 		Generation: ModelGeneration(),
-		Precision:  F64.String(),
 		SizeBytes:  e.SizeBytes(),
 	}
 	if d, ok := probe.(estimator.Describer); ok {
@@ -137,7 +132,6 @@ func (m *MonotoneEstimator) Info() EstimatorInfo {
 func (r *RobustEstimator) Info() EstimatorInfo {
 	info := Describe(r.primary)
 	info.SizeBytes = r.SizeBytes()
-	info.Precision = r.precision.String()
 	wrappers := []string{"robust"}
 	if r.cache != nil {
 		wrappers = append(wrappers, "cached")

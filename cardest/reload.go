@@ -42,7 +42,7 @@ func NewReloadable(est *RobustEstimator) *Reloadable {
 }
 
 // Estimator returns the current generation's hardened estimator without
-// pinning it — for metadata reads (Describe, Precision). Request paths must
+// pinning it — for metadata reads (Describe). Request paths must
 // use Acquire so a concurrent Swap can see them drain.
 func (r *Reloadable) Estimator() *RobustEstimator { return r.cur.Load().est }
 

@@ -69,14 +69,6 @@ type ServeOptions struct {
 	// the affected local models, swapped in with zero downtime (DESIGN.md
 	// §16). Ignored by plain Harden — the knobs live on the Adapter.
 	Adapt *AdaptOptions
-	// Precision selects the serving tier (F64, F32, Int8). Non-F64 tiers
-	// apply only when the primary implements PrecisionEstimator and its
-	// PreCheckPrecision passes at Harden time; otherwise serving falls back
-	// to F64 (counted in simquery_precision_fallbacks_total). The estimate
-	// cache is precision-agnostic: entries are keyed on the incoming f64
-	// query, so repeated queries hit regardless of the tier that filled
-	// them.
-	Precision Precision
 }
 
 // RobustEstimator is the fault-tolerant serving wrapper produced by
@@ -89,43 +81,25 @@ type ServeOptions struct {
 // gate, one branch for the fault-injection guard, and two float
 // classifications per output value.
 type RobustEstimator struct {
-	primary   Estimator
-	fallback  Estimator
-	gate      *faulttol.Gate
-	deadline  time.Duration
-	cache     *estcache.Cache
-	probe     *probe.Pipeline
-	precision Precision
+	primary  Estimator
+	fallback Estimator
+	gate     *faulttol.Gate
+	deadline time.Duration
+	cache    *estcache.Cache
+	probe    *probe.Pipeline
 }
 
 // Harden wraps a trained estimator in the fault-tolerant serving path.
-// A requested non-F64 precision tier is resolved here: the primary must
-// implement PrecisionEstimator and pass its precision pre-check (which
-// eagerly lowers and caches the inference plane); otherwise the wrapper
-// serves F64.
 func Harden(e Estimator, opts ServeOptions) *RobustEstimator {
-	p := opts.Precision
-	if p != F64 {
-		pe, ok := e.(PrecisionEstimator)
-		if !ok || pe.PreCheckPrecision(p) != nil {
-			telemetry.Default().Count(telemetry.MetricPrecisionFallbacks, 1)
-			p = F64
-		}
-	}
 	return &RobustEstimator{
-		primary:   e,
-		fallback:  opts.Fallback,
-		gate:      faulttol.NewGate(opts.MaxInFlight),
-		deadline:  opts.Deadline,
-		cache:     opts.Cache,
-		probe:     opts.Probe,
-		precision: p,
+		primary:  e,
+		fallback: opts.Fallback,
+		gate:     faulttol.NewGate(opts.MaxInFlight),
+		deadline: opts.Deadline,
+		cache:    opts.Cache,
+		probe:    opts.Probe,
 	}
 }
-
-// Precision reports the resolved serving tier: the requested tier when the
-// primary supports it, F64 otherwise.
-func (r *RobustEstimator) Precision() Precision { return r.precision }
 
 // Cache returns the attached estimate cache (nil when caching is off).
 func (r *RobustEstimator) Cache() *estcache.Cache { return r.cache }
@@ -340,15 +314,9 @@ func (r *RobustEstimator) fillAnchors(ctx context.Context, q []float64, anchors 
 	return out, nil
 }
 
-// searchPrimary runs the primary's single estimate: on the lowered plane
-// when a non-F64 tier is resolved, else via its cooperative context path
-// when it has one.
+// searchPrimary runs the primary's single estimate, via its cooperative
+// context path when it has one.
 func (r *RobustEstimator) searchPrimary(ctx context.Context, q []float64, tau float64) (float64, error) {
-	if r.precision != F64 {
-		if pe, ok := r.primary.(PrecisionEstimator); ok {
-			return r.searchPrecision(ctx, pe, q, tau)
-		}
-	}
 	if ce, ok := r.primary.(ContextEstimator); ok {
 		return ce.EstimateSearchCtx(ctx, q, tau)
 	}
@@ -465,16 +433,10 @@ func (r *RobustEstimator) searchBatchHardened(ctx context.Context, tr *reqtrace.
 	return out, nil
 }
 
-// searchBatchPrimary runs the primary's batched estimate: on the lowered
-// plane when a non-F64 tier is resolved, else via its cooperative context
-// path when it has one. Cache fills route through here too, so lowered
-// tiers fill the precision-agnostic cache with their own estimates.
+// searchBatchPrimary runs the primary's batched estimate, via its
+// cooperative context path when it has one. Cache fills route through here
+// too.
 func (r *RobustEstimator) searchBatchPrimary(ctx context.Context, qs [][]float64, taus []float64) ([]float64, error) {
-	if r.precision != F64 {
-		if pe, ok := r.primary.(PrecisionEstimator); ok {
-			return r.searchBatchPrecision(ctx, pe, qs, taus)
-		}
-	}
 	if ce, ok := r.primary.(ContextEstimator); ok {
 		return ce.EstimateSearchBatchCtx(ctx, qs, taus)
 	}

@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -63,4 +64,38 @@ func table2Estimators(t *testing.T) table2Fixture {
 		t.Fatal(table2Err)
 	}
 	return table2
+}
+
+// TestHardenServesPrimaryVerbatim pins the hardened wrapper's no-fault
+// contract on every Table-2 method: with no fallback, cache or fault armed,
+// Harden answers exactly the primary's estimate, before and after a
+// Save/Load round trip of the primary.
+func TestHardenServesPrimaryVerbatim(t *testing.T) {
+	fx := table2Estimators(t)
+	dir := t.TempDir()
+	for _, method := range table2Methods {
+		e := fx.ests[method]
+		r := Harden(e, ServeOptions{})
+		for _, q := range fx.test {
+			if got, want := r.EstimateSearch(q.Vec, q.Tau), e.EstimateSearch(q.Vec, q.Tau); got != want {
+				t.Fatalf("%s: hardened %v vs primary %v at τ=%v", method, got, want, q.Tau)
+			}
+		}
+		if method == "sampling" || method == "kernel" {
+			continue // rebuilt from data, never checkpointed
+		}
+		path := filepath.Join(dir, method+".model")
+		if err := Save(e, path); err != nil {
+			t.Fatalf("%s: save: %v", method, err)
+		}
+		loaded, err := Load(path, fx.ds)
+		if err != nil {
+			t.Fatalf("%s: load: %v", method, err)
+		}
+		rl := Harden(loaded, ServeOptions{})
+		q := fx.test[0]
+		if got, want := rl.EstimateSearch(q.Vec, q.Tau), e.EstimateSearch(q.Vec, q.Tau); got != want {
+			t.Fatalf("%s: reloaded hardened %v vs primary %v", method, got, want)
+		}
+	}
 }

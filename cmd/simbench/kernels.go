@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -41,12 +43,45 @@ type kernelBenchResult struct {
 // regenerated with `make bench`; CHANGES.md tracks the trajectory across
 // PRs.
 type kernelBenchFile struct {
+	Host       benchHost           `json:"host"`
 	GoVersion  string              `json:"go_version"`
 	GOARCH     string              `json:"goarch"`
 	GOMAXPROCS int                 `json:"gomaxprocs"`
 	Workers    int                 `json:"workers"`
 	Benchtime  string              `json:"benchtime"`
 	Results    []kernelBenchResult `json:"results"`
+}
+
+// benchHost identifies the machine and build a kernel run measured on, with
+// the field names of perfbench's host record, so rows from different hosts
+// are never compared by accident.
+type benchHost struct {
+	CPU    string `json:"cpu"`
+	NumCPU int    `json:"num_cpu"`
+	GitSHA string `json:"git_sha"`
+}
+
+// hostInfo reads the CPU model from /proc/cpuinfo and the commit from git
+// (`go run`, which `make bench` uses, stamps no VCS revision into the
+// binary). Missing values read "unknown"; uncommitted changes to tracked
+// files add "-dirty".
+func hostInfo() benchHost {
+	h := benchHost{CPU: "unknown", NumCPU: runtime.NumCPU(), GitSHA: "unknown"}
+	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		h.GitSHA = strings.TrimSpace(string(out))
+		if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(bytes.TrimSpace(st)) > 0 {
+			h.GitSHA += "-dirty"
+		}
+	}
+	return h
 }
 
 // kernelBenchtime keeps `make bench` fast while staying statistically
@@ -69,7 +104,6 @@ type kernelOptions struct {
 	maxInflight  int
 	cacheEntries int
 	cacheAnchors int
-	precision    cardest.Precision
 	scalingGuard bool
 }
 
@@ -88,6 +122,7 @@ func runKernels(o kernelOptions) error {
 	}
 	maxprocs := runtime.GOMAXPROCS(0)
 	file := kernelBenchFile{
+		Host:       hostInfo(),
 		GoVersion:  runtime.Version(),
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: maxprocs,
@@ -145,19 +180,6 @@ func runKernels(o kernelOptions) error {
 			}
 		})
 	}
-	gemm32 := func(name string, dim, poolWorkers int, fn func(out, x, y *tensor.Matrix32)) {
-		tensor.SetPoolSize(poolWorkers)
-		rng := rand.New(rand.NewSource(1))
-		x := randMat32(rng, dim, dim)
-		y := randMat32(rng, dim, dim)
-		out := tensor.NewMatrix32(dim, dim)
-		bench(name, poolWorkers, 2*float64(dim)*float64(dim)*float64(dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fn(out, x, y)
-			}
-		})
-	}
 
 	for _, dim := range []int{256, 512} {
 		gemm(fmt.Sprintf("gemm_naive_%d", dim), dim, 1, tensor.NaiveMatMul)
@@ -165,31 +187,20 @@ func runKernels(o kernelOptions) error {
 		if o.workers > 1 {
 			gemm(fmt.Sprintf("gemm_tiled_pool_%d", dim), dim, o.workers, tensor.MatMul)
 		}
-		gemm32(fmt.Sprintf("gemm32_naive_%d", dim), dim, 1, tensor.NaiveMatMul32)
-		gemm32(fmt.Sprintf("gemm32_tiled_%d", dim), dim, 1, tensor.MatMul32)
-		if o.workers > 1 {
-			gemm32(fmt.Sprintf("gemm32_tiled_pool_%d", dim), dim, o.workers, tensor.MatMul32)
-		}
 	}
 	gemm("gemm_transb_naive_256", 256, 1, tensor.NaiveMatMulTransB)
 	gemm("gemm_transb_tiled_256", 256, 1, tensor.MatMulTransB)
 	gemm("gemm_transa_naive_256", 256, 1, tensor.NaiveMatMulTransA)
 	gemm("gemm_transa_tiled_256", 256, 1, tensor.MatMulTransA)
-	gemm32("gemm32_transb_naive_256", 256, 1, tensor.NaiveMatMulTransB32)
-	gemm32("gemm32_transb_tiled_256", 256, 1, tensor.MatMulTransB32)
 	tensor.SetPoolSize(o.workers)
 
 	// Vector kernels at the dense-layer width scale.
 	rng := rand.New(rand.NewSource(2))
 	vx := make([]float64, 1024)
 	vy := make([]float64, 1024)
-	vx32 := make([]float32, 1024)
-	vy32 := make([]float32, 1024)
 	for i := range vx {
 		vx[i] = rng.NormFloat64()
 		vy[i] = rng.NormFloat64()
-		vx32[i] = float32(vx[i])
-		vy32[i] = float32(vy[i])
 	}
 	vec := func(name string, fn func() float64) {
 		bench(name, 1, 0, func(b *testing.B) {
@@ -203,8 +214,6 @@ func runKernels(o kernelOptions) error {
 	}
 	vec("dot_naive_1024", func() float64 { return tensor.NaiveDot(vx, vy) })
 	vec("dot_unrolled_1024", func() float64 { return tensor.Dot(vx, vy) })
-	vec("dot32_naive_1024", func() float64 { return float64(tensor.NaiveDot32(vx32, vy32)) })
-	vec("dot32_unrolled_1024", func() float64 { return float64(tensor.Dot32(vx32, vy32)) })
 
 	if err := runEndToEnd(record, o, maxprocs); err != nil {
 		return err
@@ -270,9 +279,9 @@ func checkScalingGuard(results []kernelBenchResult, workers, maxprocs int) error
 	return nil
 }
 
-// runEndToEnd benchmarks the serving path — single, batched, and lowered
-// precision-tier GL+ estimates over a small trained suite — so
-// kernel-level wins are tracked against what they actually buy end to end.
+// runEndToEnd benchmarks the serving path — single and batched GL+
+// estimates over a small trained suite — so kernel-level wins are tracked
+// against what they actually buy end to end.
 func runEndToEnd(record func(kernelBenchResult), o kernelOptions, maxprocs int) error {
 	fmt.Println("... training small GL+ suite for end-to-end benchmarks")
 	params := exper.Params{
@@ -323,47 +332,12 @@ func runEndToEnd(record func(kernelBenchResult), o kernelOptions, maxprocs int) 
 	})
 	fmt.Printf("%34s (batch of %d)\n", "", len(vecs))
 
-	// The lowered tiers, benchmarked on the same batch so the speedup
-	// column is apples-to-apples with estimate_search_batch_per_query.
-	for _, tier := range []struct {
-		name string
-		p    cardest.Precision
-	}{
-		{"estimate_search_f32", cardest.F32},
-		{"estimate_search_int8", cardest.Int8},
-	} {
-		if err := suite.GLPlus.PreCheckPrecision(tier.p); err != nil {
-			return fmt.Errorf("%s: %w", tier.name, err)
-		}
-		r = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := suite.GLPlus.EstimateSearchBatchPrecision(vecs, taus, tier.p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		perEst := float64(r.NsPerOp()) / float64(len(vecs))
-		res := kernelBenchResult{
-			Name: tier.name, Iterations: r.N,
-			NsPerOp: perEst, AllocsPerOp: r.AllocsPerOp() / int64(len(vecs)),
-			Workers: o.workers, Gomaxprocs: maxprocs,
-			Baseline: "estimate_search_batch_per_query",
-		}
-		if batchNs > 0 {
-			res.Speedup = batchNs / perEst
-		}
-		record(res)
-		fmt.Printf("%34s (%.2fx vs f64 batch)\n", "", res.Speedup)
-	}
-
 	// Opt-in row: the fault-tolerant serving path, so the wrapper's O(1)
 	// admission/guard overhead stays measured. Only emitted when -deadline
 	// or -max-inflight is set, keeping the default baseline rows stable.
-	// Served at the -precision tier.
 	if o.deadline > 0 || o.maxInflight > 0 {
 		robust := cardest.Harden(suite.GLPlus, cardest.ServeOptions{
-			Deadline: o.deadline, MaxInFlight: o.maxInflight, Precision: o.precision,
+			Deadline: o.deadline, MaxInFlight: o.maxInflight,
 		})
 		ctx := context.Background()
 		r = testing.Benchmark(func(b *testing.B) {
@@ -379,7 +353,6 @@ func runEndToEnd(record func(kernelBenchResult), o kernelOptions, maxprocs int) 
 			Name: "estimate_search_hardened", Iterations: r.N,
 			NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(),
 			Workers: 1, Gomaxprocs: maxprocs,
-			Note: "precision " + robust.Precision().String(),
 		})
 	}
 
@@ -392,7 +365,7 @@ func runEndToEnd(record func(kernelBenchResult), o kernelOptions, maxprocs int) 
 		if err != nil {
 			return err
 		}
-		robust := cardest.Harden(suite.GLPlus, cardest.ServeOptions{Cache: cache, Precision: o.precision})
+		robust := cardest.Harden(suite.GLPlus, cardest.ServeOptions{Cache: cache})
 		anchors := cache.Anchors()
 		lo, hi := anchors[0], anchors[len(anchors)-1]
 		ctaus := make([]float64, len(qs))
@@ -421,7 +394,6 @@ func runEndToEnd(record func(kernelBenchResult), o kernelOptions, maxprocs int) 
 			Workers: 1, Gomaxprocs: maxprocs,
 			HitRate:  st.HitRate(),
 			Baseline: "estimate_search_serial",
-			Note:     "precision " + robust.Precision().String(),
 		}
 		if serialNs > 0 {
 			res.Speedup = serialNs / res.NsPerOp
@@ -437,15 +409,6 @@ func randMat(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 	m := tensor.NewMatrix(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
-	}
-	return m
-}
-
-// randMat32 is randMat for the float32 plane.
-func randMat32(rng *rand.Rand, rows, cols int) *tensor.Matrix32 {
-	m := tensor.NewMatrix32(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = float32(rng.NormFloat64())
 	}
 	return m
 }

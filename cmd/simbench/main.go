@@ -40,7 +40,6 @@ func main() {
 		kernels     = flag.Bool("kernels", false, "run the kernel benchmark suite and write -bench-out instead of experiments")
 		benchOut    = flag.String("bench-out", "BENCH_kernels.json", "output file for -kernels results")
 		benchtime   = flag.String("benchtime", kernelBenchtime, "with -kernels: per-benchmark measurement budget (testing -benchtime syntax)")
-		precFlag    = flag.String("precision", "f64", "with -kernels: serving tier for the opt-in hardened/cached rows (f64, f32, int8); the estimate_search_f32/int8 rows are always emitted")
 		scaleGuard  = flag.Bool("scaling-guard", false, "with -kernels: exit 1 if a pooled GEMM row regresses below its single-worker tiled baseline (tolerance for one-core hosts)")
 		workers     = flag.Int("workers", 0, "tensor pool workers (0 = SIMQUERY_WORKERS env, else GOMAXPROCS)")
 		deadline    = flag.Duration("deadline", 0, "with -kernels: per-request deadline for the extra hardened-path benchmark row (0 = row omitted)")
@@ -63,17 +62,12 @@ func main() {
 	if *traceRate > 0 {
 		reqtrace.Enable(reqtrace.Config{SampleEvery: *traceRate})
 	}
-	precision, err := cardest.ParsePrecision(*precFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		os.Exit(2)
-	}
 	if *kernels {
 		err := runKernels(kernelOptions{
 			outPath: *benchOut, workers: effWorkers, benchtime: *benchtime,
 			deadline: *deadline, maxInflight: *maxInfl,
 			cacheEntries: *cacheEnt, cacheAnchors: *cacheAnch,
-			precision: precision, scalingGuard: *scaleGuard,
+			scalingGuard: *scaleGuard,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simbench:", err)

@@ -26,3 +26,10 @@ func TestScaleHelpers(t *testing.T) {
 		}
 	}
 }
+
+func TestHostInfoFilled(t *testing.T) {
+	h := hostInfo()
+	if h.NumCPU < 1 || h.CPU == "" || h.GitSHA == "" {
+		t.Fatalf("host block %+v: want num_cpu >= 1 and non-empty cpu and git_sha", h)
+	}
+}

@@ -56,18 +56,12 @@ func main() {
 		describe  = flag.Bool("describe", false, "print the estimator's metadata (family, τ range, generation, wrappers) and exit")
 		traceRate = flag.Int("trace-sample", 0, "flight recorder: sample 1 in N requests into /debug/traces (0 disables, 1 = every request)")
 		probeFrac = flag.Float64("probe", 0, "live accuracy: probe this fraction of served estimates with background exact labeling (0 disables)")
-		precFlag  = flag.String("precision", "f64", "serving tier: f64 (reference), f32 (lowered float32 plane), int8 (quantized local dense layers); methods without a lowered path serve f64")
 		logJSON   = flag.Bool("log-json", false, "emit structured JSON serving logs (slog) on stderr")
 		adapt     = flag.Bool("adapt", false, "enable online adaptation: estimates delta-correct for dataset mutations and probe-detected drift triggers a background retrain")
 		mutRate   = flag.Float64("mutate-rate", 0, "with -adapt: probability per query of applying a random insert/delete batch to the live dataset")
 	)
 	flag.Parse()
 	if _, err := tensor.SetPoolSize(*workers); err != nil {
-		fmt.Fprintln(os.Stderr, "simquery:", err)
-		os.Exit(2)
-	}
-	precision, err := cardest.ParsePrecision(*precFlag)
-	if err != nil {
 		fmt.Fprintln(os.Stderr, "simquery:", err)
 		os.Exit(2)
 	}
@@ -100,8 +94,8 @@ func main() {
 		deadline: *deadline, maxInflight: *maxInfl,
 		cacheEntries: *cacheEnt, cacheAnchors: *cacheAnch,
 		pred: *pred, describe: *describe,
-		probeFraction: *probeFrac, precision: precision,
-		logger: logger, tel: tel,
+		probeFraction: *probeFrac,
+		logger:        logger, tel: tel,
 		adapt: *adapt, mutateRate: *mutRate,
 	}
 	if err := runWith(opts); err != nil {
@@ -127,7 +121,6 @@ type runOptions struct {
 	pred               string
 	describe           bool
 	probeFraction      float64
-	precision          cardest.Precision
 	logger             *slog.Logger
 	tel                *cardest.TelemetryServer
 	adapt              bool
@@ -165,7 +158,6 @@ func runWith(o runOptions) error {
 		Deadline:    o.deadline,
 		MaxInFlight: o.maxInflight,
 		Fallback:    fallback,
-		Precision:   o.precision,
 	}
 	if o.cacheEntries > 0 {
 		cache, err := cardest.NewEstimateCache(o.cacheEntries, o.cacheAnchors, ds.TauMax(), 0)
@@ -225,8 +217,7 @@ func runWith(o runOptions) error {
 	if o.logger != nil {
 		o.logger.Info("serving ready",
 			"model", est.Name(), "dataset", ds.Name(), "size", ds.Size(),
-			"cache", opts.Cache != nil, "probe_fraction", o.probeFraction,
-			"precision", robust.Precision().String())
+			"cache", opts.Cache != nil, "probe_fraction", o.probeFraction)
 	}
 	rng := rand.New(rand.NewSource(o.seed + 200))
 	sampled := make([][]float64, o.queries)
@@ -364,7 +355,6 @@ func printDescribe(e cardest.Estimator, ds *cardest.Dataset) error {
 		fmt.Fprintf(tw, "tau range\t[%g, %g] (dataset tau_max %g)\n", info.TauMin, info.TauMax, ds.TauMax())
 	}
 	fmt.Fprintf(tw, "generation\t%d\n", info.Generation)
-	fmt.Fprintf(tw, "precision\t%s\n", info.Precision)
 	if len(info.Wrappers) > 0 {
 		fmt.Fprintf(tw, "wrappers\t%v\n", info.Wrappers)
 	}

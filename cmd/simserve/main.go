@@ -55,7 +55,6 @@ func main() {
 		retryAft  = flag.Duration("retry-after", 50*time.Millisecond, "backoff window advertised on 429 responses")
 		cacheEnt  = flag.Int("cache-entries", 4096, "per-replica estimate cache capacity in fingerprints (0 disables)")
 		cacheAnch = flag.Int("cache-anchors", 8, "τ anchors per cache entry")
-		precFlag  = flag.String("precision", "f64", "serving tier: f64, f32, or int8")
 		adapt     = flag.Bool("adapt", false, "enable online adaptation: each replica gets its own dataset copy, a POST /mutate endpoint, live drift probes, and drift-triggered background retrains")
 		probeFr   = flag.Float64("probe", 0.05, "with -adapt: probe this fraction of served estimates with background exact labeling")
 		driftThr  = flag.Float64("drift-threshold", 0.7, "with -adapt: EWMA |log q-error| level that triggers a background retrain (0.7 ≈ sustained 2× median q-error)")
@@ -68,11 +67,6 @@ func main() {
 		os.Exit(2)
 	}
 	if _, err := tensor.SetPoolSize(*workers); err != nil {
-		fmt.Fprintln(os.Stderr, "simserve:", err)
-		os.Exit(2)
-	}
-	precision, err := cardest.ParsePrecision(*precFlag)
-	if err != nil {
 		fmt.Fprintln(os.Stderr, "simserve:", err)
 		os.Exit(2)
 	}
@@ -92,8 +86,7 @@ func main() {
 		replicas: *replicas, addr: *addr,
 		deadline: *deadline, maxInflight: *maxInfl, retryAfter: *retryAft,
 		cacheEntries: *cacheEnt, cacheAnchors: *cacheAnch,
-		precision: precision,
-		adapt:     *adapt, probeFraction: *probeFr, driftThreshold: *driftThr,
+		adapt: *adapt, probeFraction: *probeFr, driftThreshold: *driftThr,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simserve:", err)
@@ -122,7 +115,6 @@ type clusterOptions struct {
 	retryAfter         time.Duration
 	cacheEntries       int
 	cacheAnchors       int
-	precision          cardest.Precision
 	adapt              bool
 	probeFraction      float64
 	driftThreshold     float64
@@ -202,7 +194,6 @@ func startCluster(o clusterOptions) (*Cluster, error) {
 			Deadline:    o.deadline,
 			MaxInFlight: o.maxInflight,
 			Fallback:    fallback,
-			Precision:   o.precision,
 		}
 		if o.cacheEntries > 0 {
 			cache, err := cardest.NewEstimateCache(o.cacheEntries, o.cacheAnchors, rds.TauMax(), 0)

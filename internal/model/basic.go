@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"simquery/internal/dist"
 	"simquery/internal/nn"
@@ -44,13 +43,6 @@ type BasicModel struct {
 
 	// join caches (forwardJoin → backwardJoin)
 	joinRows int
-
-	// Mixed-precision serving (precision.go): lowGen stamps the parameter
-	// generation, low32/low8 cache the lowered inference planes keyed on
-	// it. Every mutation point bumps lowGen; lowered() re-lowers lazily.
-	lowGen atomic.Uint64
-	low32  atomic.Pointer[loweredBasic]
-	low8   atomic.Pointer[loweredBasic]
 }
 
 // modelParams concatenates all trainable parameters.
@@ -110,7 +102,6 @@ func assemble(label string, rng *rand.Rand, e1 *nn.Sequential, dim int, anchors 
 func (m *BasicModel) SetOutputBias(meanLogCard float64) {
 	last := m.F.Layers[len(m.F.Layers)-1].(*nn.Dense)
 	last.B.W[0] = meanLogCard
-	m.bumpLowGen()
 }
 
 // forward runs a labeled batch and returns the N×1 log-cardinality
@@ -230,7 +221,6 @@ func (m *BasicModel) Train(samples []Sample, cfg TrainConfig) error {
 			rec.Count(telemetry.MetricTrainEpochsTotal, 1)
 		}
 	}
-	m.bumpLowGen()
 	return nil
 }
 
@@ -414,7 +404,6 @@ func (m *BasicModel) FineTuneJoin(sets []JoinSample, cfg TrainConfig) error {
 			opt.Step(params)
 		}
 	}
-	m.bumpLowGen()
 	return nil
 }
 
@@ -500,6 +489,5 @@ func (m *BasicModel) UnmarshalBinary(data []byte) error {
 	} else {
 		m.zdDim = 0
 	}
-	m.bumpLowGen()
 	return nil
 }

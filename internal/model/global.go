@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"simquery/internal/dist"
 	"simquery/internal/nn"
@@ -33,11 +32,6 @@ type GlobalModel struct {
 	Segments  int
 
 	z4, z5, z6 int
-
-	// Mixed-precision serving (precision.go): the router has a single f32
-	// lowered plane, generation-stamped like BasicModel's.
-	lowGen atomic.Uint64
-	low32  atomic.Pointer[loweredGlobal]
 }
 
 // NewGlobalModel builds G for n segments.
@@ -211,7 +205,6 @@ func (g *GlobalModel) Train(samples []GlobalSample, cfg GlobalTrainConfig) error
 			rec.Count(telemetry.MetricTrainEpochsTotal, 1)
 		}
 	}
-	g.bumpLowGen()
 	return nil
 }
 
@@ -314,6 +307,5 @@ func (g *GlobalModel) UnmarshalBinary(data []byte) error {
 	g.z4 = g.E4.OutDim(g.Dim)
 	g.z5 = g.E5.OutDim(1)
 	g.z6 = g.E6.OutDim(g.Segments)
-	g.bumpLowGen()
 	return nil
 }

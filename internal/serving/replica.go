@@ -18,6 +18,22 @@ import (
 	"simquery/internal/telemetry"
 )
 
+// Replica input bounds, enforced before the model sees a request. They sit
+// far above what in-repo callers send (simload's -batch defaults to 1 and
+// perfbench batches 64 queries in process); a full 1024-query batch of
+// 256-dimensional vectors is about 5 MiB of JSON, inside the body cap.
+const (
+	// MaxBodyBytes caps the /estimate, /mutate and /reload request bodies;
+	// a longer body is rejected with 413 before it is fully read.
+	MaxBodyBytes = 8 << 20
+	// MaxBatchQueries caps the queries of one /estimate batch; a larger
+	// batch is rejected with 400.
+	MaxBatchQueries = 1024
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request headers, so idle or trickling clients cannot pin a replica.
+	readHeaderTimeout = 10 * time.Second
+)
+
 // LoadFunc builds a freshly hardened estimator for POST /reload — in
 // production cardest.Load on the checkpoint path followed by cardest.Harden
 // with the replica's serving options (cmd/simserve wires exactly that);
@@ -136,7 +152,7 @@ func (r *Replica) Start(addr string) error {
 	}
 	mux.HandleFunc("POST /mutate", r.handleMutate)
 	r.lis = lis
-	r.srv = &http.Server{Handler: mux}
+	r.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	r.started = true
 	go func() { _ = r.srv.Serve(lis) }()
 	return nil
@@ -230,9 +246,9 @@ func (r *Replica) handleEstimate(w http.ResponseWriter, req *http.Request) {
 	defer r.served.Add(1)
 
 	var body EstimateRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+	if err := decodeBody(w, req, &body); err != nil {
 		r.countOutcome("error")
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serving: bad request body: " + err.Error()})
+		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: "serving: bad request body: " + err.Error()})
 		return
 	}
 	if err := body.Validate(); err != nil {
@@ -309,8 +325,8 @@ func (r *Replica) handleMutate(w http.ResponseWriter, req *http.Request) {
 	r.inflight.Add(1)
 	defer r.inflight.Done()
 	var body MutateRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serving: bad mutate body: " + err.Error()})
+	if err := decodeBody(w, req, &body); err != nil {
+		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: "serving: bad mutate body: " + err.Error()})
 		return
 	}
 	if err := body.Validate(); err != nil {
@@ -350,8 +366,8 @@ type reloadResponse struct {
 // serving untouched.
 func (r *Replica) handleReload(w http.ResponseWriter, req *http.Request) {
 	var body reloadRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serving: bad reload body: " + err.Error()})
+	if err := decodeBody(w, req, &body); err != nil {
+		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: "serving: bad reload body: " + err.Error()})
 		return
 	}
 	next, err := r.cfg.Loader(body.Path)
@@ -366,6 +382,21 @@ func (r *Replica) handleReload(w http.ResponseWriter, req *http.Request) {
 	r.reloads.Add(1)
 	telemetry.Default().Count(telemetry.MetricServingReloads, 1)
 	writeJSON(w, http.StatusOK, reloadResponse{Generation: gen, Drained: drained})
+}
+
+// decodeBody decodes a JSON request body of at most MaxBodyBytes into v.
+func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, req.Body, MaxBodyBytes)).Decode(v)
+}
+
+// bodyErrorStatus maps a decodeBody error onto its status: 413 when the
+// body ran past MaxBodyBytes, 400 for any other malformed body.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // countOutcome records one served request by outcome.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +75,44 @@ func TestReplicaRejectsMalformedRequests(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /estimate: status %d, want 405", getResp.StatusCode)
+	}
+}
+
+// TestReplicaCapsBatchSize checks the per-request query cap at the edge:
+// MaxBatchQueries queries are served, one more is a 400 before the model
+// runs.
+func TestReplicaCapsBatchSize(t *testing.T) {
+	f := getFixture(t)
+	rep := startReplica(t, newHardened(t, 22, cardest.ServeOptions{}), ReplicaConfig{DefaultDeadline: time.Minute})
+	batch := func(n int) EstimateRequest {
+		req := EstimateRequest{Queries: make([][]float64, n), Taus: make([]float64, n)}
+		for i := range req.Queries {
+			req.Queries[i], req.Taus[i] = f.queries[0], f.taus[0]
+		}
+		return req
+	}
+	if status, _, resp, _ := postEstimate(t, rep.URL(), batch(MaxBatchQueries)); status != http.StatusOK || len(resp.Estimates) != MaxBatchQueries {
+		t.Fatalf("batch at the cap: status %d with %d estimates, want 200 with %d", status, len(resp.Estimates), MaxBatchQueries)
+	}
+	status, _, _, fail := postEstimate(t, rep.URL(), batch(MaxBatchQueries+1))
+	if status != http.StatusBadRequest || fail.Error == "" {
+		t.Fatalf("batch over the cap: status %d (%q), want 400 with an error body", status, fail.Error)
+	}
+}
+
+// TestReplicaRejectsOversizedBody streams a body one byte past
+// MaxBodyBytes: the replica answers 413 without buffering the rest.
+func TestReplicaRejectsOversizedBody(t *testing.T) {
+	rep := startReplica(t, newHardened(t, 22, cardest.ServeOptions{}), ReplicaConfig{})
+	prefix := `{"queries":[[`
+	pad := strings.NewReader(strings.Repeat("0,", (MaxBodyBytes-len(prefix))/2+1))
+	resp, err := http.Post(rep.URL()+"/estimate", "application/json", io.MultiReader(strings.NewReader(prefix), pad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
 	}
 }
 

@@ -108,6 +108,9 @@ func (r *EstimateRequest) Validate() error {
 	if len(r.Queries) == 0 {
 		return errors.New("serving: empty query batch")
 	}
+	if len(r.Queries) > MaxBatchQueries {
+		return fmt.Errorf("serving: %d queries exceed the batch cap of %d", len(r.Queries), MaxBatchQueries)
+	}
 	if len(r.Queries) != len(r.Taus) {
 		return fmt.Errorf("serving: %d queries but %d taus", len(r.Queries), len(r.Taus))
 	}

@@ -77,10 +77,6 @@ const (
 	// MetricShedRequests counts estimate requests rejected by the
 	// admission gate because the in-flight limit was reached.
 	MetricShedRequests = "simquery_shed_requests_total"
-	// MetricPrecisionFallbacks counts Harden calls that requested a lowered
-	// serving tier (f32/int8) but fell back to f64 because the estimator has
-	// no lowered path or its precision pre-check failed.
-	MetricPrecisionFallbacks = "simquery_precision_fallbacks_total"
 	// MetricCacheHits counts estimate-cache lookups answered from a cached
 	// entry (exact anchor or interpolated).
 	MetricCacheHits = "simquery_estcache_hits_total"
