@@ -87,6 +87,7 @@ retrain-chaos:
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./cardest/
+	$(GO) test -run='^$$' -fuzz=FuzzPrecisionServe -fuzztime=$(FUZZTIME) ./cardest/
 	$(GO) test -run='^$$' -fuzz=FuzzParseWorkers -fuzztime=$(FUZZTIME) ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulTransB -fuzztime=$(FUZZTIME) ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePredicate -fuzztime=$(FUZZTIME) ./cardest/plan/

@@ -2,6 +2,7 @@ package cardest
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,6 +72,63 @@ func FuzzLoad(f *testing.F) {
 		}
 		if name := est.Name(); name == "" {
 			t.Fatal("loaded estimator has empty name")
+		}
+	})
+}
+
+// FuzzPrecisionServe drives checkpoint bytes through Load and then serves
+// the result through Harden at a fuzzed threshold: whatever a (possibly
+// corrupted) checkpoint decodes to, hardened serving must never panic, and
+// every served estimate must be finite and non-negative. (The name dates
+// from the removed f32/int8 serving tiers, which the byte used to pick.)
+func FuzzPrecisionServe(f *testing.F) {
+	seed := fuzzSeedCheckpoint(f)
+	// Query at the seed model's dimensionality so the well-formed seeds
+	// reach the serving checks instead of a dim-mismatch rejection.
+	ds, err := GenerateProfile("imagenet", 200, 10, 11)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dim := ds.Dim()
+	f.Add(seed, uint8(0))
+	f.Add(seed, uint8(1))
+	f.Add(seed, uint8(2))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte("not a model"), uint8(2))
+	if len(seed) > trailerLength {
+		f.Add(append([]byte("garbage-payload"), seed[len(seed)-trailerLength:]...), uint8(1))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, tauStep uint8) {
+		path := filepath.Join(t.TempDir(), "fuzz.model")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		est, err := Load(path, nil)
+		if err != nil {
+			return // corrupt checkpoints are FuzzLoad's domain
+		}
+		r := Harden(est, ServeOptions{})
+		q := make([]float64, dim)
+		for i := range q {
+			q[i] = float64(i%10) / 10
+		}
+		tau := float64(tauStep) / 4
+		v, err := r.EstimateSearchCtx(t.Context(), q, tau)
+		if err != nil {
+			return // the hardened path may legitimately reject (e.g. a captured dim-mismatch panic)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			t.Fatalf("τ=%v: served invalid estimate %v", tau, v)
+		}
+		vs, err := r.EstimateSearchBatchCtx(t.Context(), [][]float64{q, q}, []float64{tau, tau})
+		if err != nil {
+			return
+		}
+		for _, b := range vs {
+			if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
+				t.Fatalf("τ=%v: batch served invalid estimate %v", tau, b)
+			}
 		}
 	})
 }

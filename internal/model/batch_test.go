@@ -90,3 +90,32 @@ func TestEstimateSearchConcurrent(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestGlobalLocalPrecisionTiers extends the batch contract to the GL-CNN
+// and GL-MLP variants: the batch path is bitwise the serial path, a second
+// pass is deterministic, and an empty batch is legal. (The name dates from
+// the removed f32/int8 serving tiers; the f64 path is the one left.)
+func TestGlobalLocalPrecisionTiers(t *testing.T) {
+	qs, taus := testBatch(t)
+	for _, v := range []Variant{GLCNN, GLMLP} {
+		gl := trainedGL(t, v)
+		got := gl.EstimateSearchBatch(qs, taus)
+		if len(got) != len(qs) {
+			t.Fatalf("%s: batch returned %d results for %d queries", v, len(got), len(qs))
+		}
+		for i := range qs {
+			if single := gl.EstimateSearch(qs[i], taus[i]); got[i] != single {
+				t.Fatalf("%s query %d: batch %v != serial %v", v, i, got[i], single)
+			}
+		}
+		again := gl.EstimateSearchBatch(qs, taus)
+		for i := range got {
+			if again[i] != got[i] {
+				t.Fatalf("%s query %d not deterministic: %v vs %v", v, i, again[i], got[i])
+			}
+		}
+		if empty := gl.EstimateSearchBatch(nil, nil); len(empty) != 0 {
+			t.Fatalf("%s: empty batch returned %d results", v, len(empty))
+		}
+	}
+}

@@ -147,6 +147,48 @@ func TestBasicModelSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoweredPlaneCacheAndInvalidation checks that inference keeps no
+// stale state derived from the weights: after a parameter mutation both
+// the single and the batch path track the new weights, and decoding the
+// old bytes in place restores the old estimate bitwise. (The name dates
+// from the removed lowered f32/int8 planes, which cached such state.)
+func TestLoweredPlaneCacheAndInvalidation(t *testing.T) {
+	f := getFixture(t)
+	m, err := NewMLPModel("MLP", rand.New(rand.NewSource(71)), f.ds.Dim, anchorsFrom(f.ds, 8), f.ds.Metric, f.ds.TauMax, DefaultArch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := [][]float64{f.w.Test[0].Vec, f.w.Test[1].Vec}
+	taus := []float64{f.w.Test[0].Tau, f.w.Test[1].Tau}
+	check := func(stage string, want float64) {
+		t.Helper()
+		if got := m.EstimateSearch(qs[0], taus[0]); got != want {
+			t.Fatalf("%s: single %v, want %v", stage, got, want)
+		}
+		if got := m.EstimateSearchBatch(qs, taus)[0]; math.Abs(got-want) > 1e-9*(1+want) {
+			t.Fatalf("%s: batch %v, want %v", stage, got, want)
+		}
+	}
+	before := m.EstimateSearch(qs[0], taus[0])
+	check("initial", before)
+	data, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m.SetOutputBias(7)
+	after := m.EstimateSearch(qs[0], taus[0])
+	if after == before {
+		t.Fatal("estimate did not track SetOutputBias")
+	}
+	check("after SetOutputBias", after)
+
+	if err := m.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	check("after in-place UnmarshalBinary", before)
+}
+
 func TestGlobalModelSelectsCorrectSegments(t *testing.T) {
 	f := getFixture(t)
 	gl := trainedGL(t, GLCNN)
