@@ -96,6 +96,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentCombine -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzPackBits -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -run='^$$' -fuzz=FuzzTokenHamming -fuzztime=$(FUZZTIME) ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzEstimateRequest -fuzztime=$(FUZZTIME) ./internal/serving/
+	$(GO) test -run='^$$' -fuzz=FuzzMutateRequest -fuzztime=$(FUZZTIME) ./internal/serving/
 
 # cover prints per-package coverage and fails if total statement coverage
 # drops below the recorded baseline (set just under the measured total;

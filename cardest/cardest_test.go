@@ -1,6 +1,8 @@
 package cardest
 
 import (
+	"context"
+	"errors"
 	"math"
 	"path/filepath"
 	"sync"
@@ -306,5 +308,31 @@ func TestDatasetStatsString(t *testing.T) {
 	f := getFixture(t)
 	if s := f.ds.Stats(1); s == "" {
 		t.Fatal("empty stats")
+	}
+}
+
+// TestHardenedRejectsWrongDimension checks the hardened paths' input
+// check: a query whose dimension is not the model's is ErrInvalidInput,
+// before admission and without a fallback answer.
+func TestHardenedRejectsWrongDimension(t *testing.T) {
+	f := getFixture(t)
+	train := func(seed int64) Estimator {
+		e, err := Train(f.ds, nil, TrainOptions{Method: "sampling", SampleRatio: 0.2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	r := Harden(train(1), ServeOptions{Fallback: train(2)})
+	q, tau := f.test[0].Vec, f.test[0].Tau
+	if _, err := r.EstimateSearchCtx(context.Background(), q, tau); err != nil {
+		t.Fatalf("right dimension: %v", err)
+	}
+	if _, err := r.EstimateSearchCtx(context.Background(), q[1:], tau); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("short query: err %v, want ErrInvalidInput", err)
+	}
+	out, err := r.EstimateSearchBatchCtx(context.Background(), [][]float64{q, append(q[:len(q):len(q)], 0)}, []float64{tau, tau})
+	if !errors.Is(err, ErrInvalidInput) || out != nil {
+		t.Fatalf("batch with a long query: %v, %v; want ErrInvalidInput and no estimates", out, err)
 	}
 }

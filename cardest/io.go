@@ -218,7 +218,7 @@ func Load(path string, d *Dataset) (Estimator, error) {
 		if err := c.UnmarshalBinary(env.Data); err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrCorruptModel, path, err)
 		}
-		return measured{c}, nil
+		return measured{c, c.Dim}, nil
 	default:
 		return nil, fmt.Errorf("%w: %s: unknown model kind %q", ErrCorruptModel, path, env.Kind)
 	}

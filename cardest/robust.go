@@ -3,6 +3,7 @@ package cardest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"simquery/internal/estcache"
@@ -18,6 +19,16 @@ import (
 // before any model work (load shedding, counted in
 // simquery_shed_requests_total).
 var ErrOverloaded = faulttol.ErrOverloaded
+
+// ErrInvalidInput reports a query the model cannot answer as asked: its
+// dimension differs from the one the model was trained on. It is the
+// caller's error, so the hardened paths return it before admission and
+// never degrade it to the fallback.
+var ErrInvalidInput = errors.New("cardest: invalid input")
+
+// dimensioned is implemented by the estimators Train and Load build: the
+// query dimension they answer for.
+type dimensioned interface{ queryDim() int }
 
 // ContextEstimator is implemented by estimators whose estimate paths
 // cooperate with a request context (cancellation checks between
@@ -87,11 +98,17 @@ type RobustEstimator struct {
 	deadline time.Duration
 	cache    *estcache.Cache
 	probe    *probe.Pipeline
+	dim      int // the primary's query dimension; 0 = not declared
 }
 
 // Harden wraps a trained estimator in the fault-tolerant serving path.
 func Harden(e Estimator, opts ServeOptions) *RobustEstimator {
+	dim := 0
+	if d, ok := e.(dimensioned); ok {
+		dim = d.queryDim()
+	}
 	return &RobustEstimator{
+		dim:      dim,
 		primary:  e,
 		fallback: opts.Fallback,
 		gate:     faulttol.NewGate(opts.MaxInFlight),
@@ -222,9 +239,21 @@ func (r *RobustEstimator) EstimateSearchCtx(ctx context.Context, q []float64, ta
 	return est, err
 }
 
+// checkDim rejects query i with ErrInvalidInput when its dimension is not
+// the primary's (no check when the primary declares none).
+func (r *RobustEstimator) checkDim(i int, q []float64) error {
+	if r.dim > 0 && len(q) != r.dim {
+		return fmt.Errorf("%w: query %d has dim %d, want %d", ErrInvalidInput, i, len(q), r.dim)
+	}
+	return nil
+}
+
 // searchHardened is the EstimateSearchCtx body with the request trace in
 // hand (nil when unsampled; every recording call is nil-safe).
 func (r *RobustEstimator) searchHardened(ctx context.Context, tr *reqtrace.Trace, q []float64, tau float64) (float64, error) {
+	if err := r.checkDim(0, q); err != nil {
+		return 0, err
+	}
 	if r.cache != nil {
 		if !r.cache.InBand(tau) {
 			tr.SetFlag(reqtrace.FlagCacheBypass)
@@ -387,6 +416,11 @@ func (r *RobustEstimator) EstimateSearchBatchCtx(ctx context.Context, qs [][]flo
 // searchBatchHardened is the EstimateSearchBatchCtx body with the request
 // trace in hand.
 func (r *RobustEstimator) searchBatchHardened(ctx context.Context, tr *reqtrace.Trace, qs [][]float64, taus []float64) ([]float64, error) {
+	for i, q := range qs {
+		if err := r.checkDim(i, q); err != nil {
+			return nil, err
+		}
+	}
 	ctx, done, err := r.admit(ctx)
 	if err != nil {
 		tr.SetFlag(reqtrace.FlagShed)

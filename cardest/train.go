@@ -56,7 +56,7 @@ func Train(d *Dataset, train []Query, opts TrainOptions) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return measured{s}, nil
+		return measured{s, d.Dim()}, nil
 	case "kernel":
 		ratio := opts.SampleRatio
 		if ratio <= 0 {
@@ -66,7 +66,7 @@ func Train(d *Dataset, train []Query, opts TrainOptions) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return measured{k}, nil
+		return measured{k, d.Dim()}, nil
 	}
 
 	if len(train) == 0 {
@@ -96,7 +96,7 @@ func Train(d *Dataset, train []Query, opts TrainOptions) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return measured{p}, nil
+		return measured{p, d.Dim()}, nil
 	case "mlp", "qes":
 		anchors := sampleAnchors(d, 8, opts.Seed+2)
 		var (
@@ -130,7 +130,7 @@ func Train(d *Dataset, train []Query, opts TrainOptions) (Estimator, error) {
 		if err := c.Train(cs, cardnet.TrainConfig{Epochs: cfg.Epochs, Seed: opts.Seed + 5}); err != nil {
 			return nil, err
 		}
-		return measured{c}, nil
+		return measured{c, d.Dim()}, nil
 	case "local+", "gl-mlp", "gl-cnn", "gl+":
 		variant := map[string]model.Variant{
 			"local+": model.LocalPlus,
@@ -220,7 +220,17 @@ func sampleAnchors(d *Dataset, k int, seed int64) [][]float64 {
 // type-assert them. Save unwraps it (see toEnvelope).
 type measured struct {
 	inner Estimator
+	dim   int // the dataset's vector dimension
 }
+
+// queryDim implements dimensioned.
+func (m measured) queryDim() int { return m.dim }
+
+// queryDim implements dimensioned.
+func (b basicEstimator) queryDim() int { return b.Dim }
+
+// queryDim implements dimensioned.
+func (g *GlobalLocalEstimator) queryDim() int { return g.gl.Dim }
 
 // Name implements Estimator.
 func (m measured) Name() string { return m.inner.Name() }

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -17,6 +15,7 @@ import (
 	"simquery/cardest"
 	"simquery/internal/dataset"
 	"simquery/internal/exper"
+	"simquery/internal/hostinfo"
 	"simquery/internal/tensor"
 )
 
@@ -43,45 +42,13 @@ type kernelBenchResult struct {
 // regenerated with `make bench`; CHANGES.md tracks the trajectory across
 // PRs.
 type kernelBenchFile struct {
-	Host       benchHost           `json:"host"`
+	Host       hostinfo.Host       `json:"host"`
 	GoVersion  string              `json:"go_version"`
 	GOARCH     string              `json:"goarch"`
 	GOMAXPROCS int                 `json:"gomaxprocs"`
 	Workers    int                 `json:"workers"`
 	Benchtime  string              `json:"benchtime"`
 	Results    []kernelBenchResult `json:"results"`
-}
-
-// benchHost identifies the machine and build a kernel run measured on, with
-// the field names of perfbench's host record, so rows from different hosts
-// are never compared by accident.
-type benchHost struct {
-	CPU    string `json:"cpu"`
-	NumCPU int    `json:"num_cpu"`
-	GitSHA string `json:"git_sha"`
-}
-
-// hostInfo reads the CPU model from /proc/cpuinfo and the commit from git
-// (`go run`, which `make bench` uses, stamps no VCS revision into the
-// binary). Missing values read "unknown"; uncommitted changes to tracked
-// files add "-dirty".
-func hostInfo() benchHost {
-	h := benchHost{CPU: "unknown", NumCPU: runtime.NumCPU(), GitSHA: "unknown"}
-	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		for _, line := range strings.Split(string(raw), "\n") {
-			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
-				h.CPU = strings.TrimSpace(v)
-				break
-			}
-		}
-	}
-	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		h.GitSHA = strings.TrimSpace(string(out))
-		if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(bytes.TrimSpace(st)) > 0 {
-			h.GitSHA += "-dirty"
-		}
-	}
-	return h
 }
 
 // kernelBenchtime keeps `make bench` fast while staying statistically
@@ -122,7 +89,7 @@ func runKernels(o kernelOptions) error {
 	}
 	maxprocs := runtime.GOMAXPROCS(0)
 	file := kernelBenchFile{
-		Host:       hostInfo(),
+		Host:       hostinfo.Read(),
 		GoVersion:  runtime.Version(),
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: maxprocs,

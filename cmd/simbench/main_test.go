@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"simquery/internal/hostinfo"
+)
 
 func TestRunRejectsBadArgs(t *testing.T) {
 	if err := run("table4", "imagenet", "huge", true, "", nil); err == nil {
@@ -27,8 +31,9 @@ func TestScaleHelpers(t *testing.T) {
 	}
 }
 
+// TestHostInfoFilled checks the host block written into BENCH_kernels.json.
 func TestHostInfoFilled(t *testing.T) {
-	h := hostInfo()
+	h := hostinfo.Read()
 	if h.NumCPU < 1 || h.CPU == "" || h.GitSHA == "" {
 		t.Fatalf("host block %+v: want num_cpu >= 1 and non-empty cpu and git_sha", h)
 	}

@@ -28,10 +28,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
 	"simquery/cardest"
+	"simquery/internal/hostinfo"
 	"simquery/internal/serving"
 )
 
@@ -104,6 +106,10 @@ type loadOptions struct {
 
 // report is the BENCH_serving.json schema.
 type report struct {
+	Host       hostinfo.Host `json:"host"`
+	GoVersion  string        `json:"go_version"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+
 	Profile      string  `json:"profile"`
 	Replicas     int     `json:"replicas"`
 	RatePerSec   float64 `json:"rate_per_sec"`
@@ -203,6 +209,10 @@ func runLoad(o loadOptions) (*report, error) {
 	}
 
 	rep := &report{
+		Host:       hostinfo.Read(),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+
 		Profile:     o.profile,
 		Replicas:    len(urls),
 		RatePerSec:  o.rate,

@@ -49,6 +49,9 @@ func TestRunLoadSpawnModeWritesReport(t *testing.T) {
 	if onDisk.Sent != rep.Sent || onDisk.Errors != rep.Errors {
 		t.Fatalf("on-disk report diverges: sent %d vs %d", onDisk.Sent, rep.Sent)
 	}
+	if h := onDisk.Host; h.NumCPU < 1 || h.CPU == "" || h.GitSHA == "" || onDisk.GoVersion == "" || onDisk.GOMAXPROCS < 1 {
+		t.Fatalf("report host block %+v (go %q, gomaxprocs %d): want it filled", h, onDisk.GoVersion, onDisk.GOMAXPROCS)
+	}
 }
 
 // TestRunLoadKillAfterStaysErrorFree is the acceptance criterion in

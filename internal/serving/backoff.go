@@ -2,7 +2,6 @@ package serving
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,18 +74,22 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // when a request is already slower than (nearly) everything recently
 // served, so the steady-state hedge rate stays ~1%.
 type latencyTracker struct {
-	mu     sync.Mutex
-	ring   []time.Duration
-	sorted []time.Duration // P99's sort buffer, the ring's size; guarded by mu
-	n      int             // total observations
+	mu   sync.Mutex
+	ring []time.Duration
+	n    int // total observations
 }
 
-// newLatencyTracker tracks the most recent size observations (default 128).
+// maxLatencyWindow bounds the ring so that at most two samples sit above
+// the p99 index, which lets P99 keep the top three instead of sorting.
+const maxLatencyWindow = 201
+
+// newLatencyTracker tracks the most recent size observations (default and
+// out-of-range sizes: 128).
 func newLatencyTracker(size int) *latencyTracker {
-	if size <= 0 {
+	if size <= 0 || size > maxLatencyWindow {
 		size = 128
 	}
-	return &latencyTracker{ring: make([]time.Duration, size), sorted: make([]time.Duration, size)}
+	return &latencyTracker{ring: make([]time.Duration, size)}
 }
 
 // Observe records one successful request latency.
@@ -97,21 +100,28 @@ func (lt *latencyTracker) Observe(d time.Duration) {
 	lt.mu.Unlock()
 }
 
-// P99 returns the 99th percentile of the retained window, or 0 while fewer
-// than 16 observations exist (callers fall back to a configured floor — a
-// cold tracker has no distribution to derive a delay from).
+// P99 returns the 99th percentile of the retained window — the sorted
+// window's element (n-1)*99/100 — or 0 while fewer than 16 observations
+// exist (callers fall back to a configured floor — a cold tracker has no
+// distribution to derive a delay from). With n <= maxLatencyWindow that
+// element is among the three largest, so one pass keeping them suffices.
 func (lt *latencyTracker) P99() time.Duration {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	n := lt.n
-	if n > len(lt.ring) {
-		n = len(lt.ring)
-	}
 	if lt.n < 16 {
 		return 0
 	}
-	tmp := lt.sorted[:n]
-	copy(tmp, lt.ring[:n])
-	slices.Sort(tmp)
-	return tmp[(n-1)*99/100]
+	n := min(lt.n, len(lt.ring))
+	top := [3]time.Duration{-1, -1, -1} // descending
+	for _, d := range lt.ring[:n] {
+		switch {
+		case d > top[0]:
+			top = [3]time.Duration{d, top[0], top[1]}
+		case d > top[1]:
+			top[1], top[2] = d, top[1]
+		case d > top[2]:
+			top[2] = d
+		}
+	}
+	return top[n-1-(n-1)*99/100]
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -258,7 +260,9 @@ func (r *Replica) handleEstimate(w http.ResponseWriter, req *http.Request) {
 	}
 	deadline := r.cfg.DefaultDeadline
 	if body.DeadlineMs > 0 {
-		deadline = time.Duration(body.DeadlineMs) * time.Millisecond
+		// Saturate instead of overflowing into a negative, already-spent
+		// budget.
+		deadline = time.Duration(min(body.DeadlineMs, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(req.Context(), deadline)
 	defer cancel()
@@ -303,13 +307,24 @@ func (r *Replica) handleEstimate(w http.ResponseWriter, req *http.Request) {
 	} else {
 		r.countOutcome("ok")
 	}
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	resp := EstimateResponse{
 		Estimates:  out,
 		Degraded:   degraded,
 		Adapted:    adapted,
 		Generation: gen,
 		Replica:    r.cfg.Name,
-	})
+	}
+	// The hardened path answers finite estimates only, so the encoder's
+	// non-finite error cannot fire here; the trailing newline keeps the
+	// bytes json.Encoder wrote.
+	raw, err := resp.AppendJSON(make([]byte, 0, 64+24*len(out)))
+	if err != nil {
+		WriteError(w, err, r.cfg.RetryAfter)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(raw, '\n'))
 }
 
 // handleMutate applies one dataset mutation batch through the attached
@@ -384,9 +399,15 @@ func (r *Replica) handleReload(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, reloadResponse{Generation: gen, Drained: drained})
 }
 
-// decodeBody decodes a JSON request body of at most MaxBodyBytes into v.
+// decodeBody reads a request body of at most MaxBodyBytes and decodes it
+// into v. The body must be one JSON value: trailing bytes other than
+// whitespace are an error.
 func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, req.Body, MaxBodyBytes)).Decode(v)
+	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, MaxBodyBytes))
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
 }
 
 // bodyErrorStatus maps a decodeBody error onto its status: 413 when the

@@ -116,6 +116,71 @@ func TestReplicaRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestReplicaRejectsTrailingData pins the one-value body rule: bytes after
+// the request object are a 400, trailing whitespace is not.
+func TestReplicaRejectsTrailingData(t *testing.T) {
+	f := getFixture(t)
+	rep := startReplica(t, newHardened(t, 22, cardest.ServeOptions{}), ReplicaConfig{})
+	valid, err := json.Marshal(EstimateRequest{Queries: f.queries[:1], Taus: f.taus[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		suffix string
+		status int
+	}{
+		{" \n\t", http.StatusOK},
+		{"{}", http.StatusBadRequest},
+		{" x", http.StatusBadRequest},
+		{`{"queries":[[1]],"taus":[0.1]}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(rep.URL()+"/estimate", "application/json", bytes.NewReader(append(valid[:len(valid):len(valid)], tc.suffix...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("body + %q: status %d, want %d", tc.suffix, resp.StatusCode, tc.status)
+		}
+	}
+}
+
+// TestReplicaRejectsOversizedValidBody sends a complete request object
+// padded with whitespace past MaxBodyBytes: the whole body counts, so it is
+// a 413 even though the object itself is small.
+func TestReplicaRejectsOversizedValidBody(t *testing.T) {
+	f := getFixture(t)
+	rep := startReplica(t, newHardened(t, 22, cardest.ServeOptions{}), ReplicaConfig{})
+	valid, err := json.Marshal(EstimateRequest{Queries: f.queries[:1], Taus: f.taus[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := io.MultiReader(bytes.NewReader(valid), strings.NewReader(strings.Repeat(" ", MaxBodyBytes)))
+	resp, err := http.Post(rep.URL()+"/estimate", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestReplicaRejectsWrongDimension checks that a query of the wrong
+// dimension is the client's 400, not a recovered panic's 500 or a
+// fallback answer.
+func TestReplicaRejectsWrongDimension(t *testing.T) {
+	f := getFixture(t)
+	rep := startReplica(t, newHardened(t, 22, cardest.ServeOptions{}), ReplicaConfig{})
+	short := f.queries[0][:len(f.queries[0])-1]
+	status, _, _, fail := postEstimate(t, rep.URL(), EstimateRequest{
+		Queries: [][]float64{f.queries[0], short}, Taus: f.taus[:2],
+	})
+	if status != http.StatusBadRequest || !strings.Contains(fail.Error, "query 1 has dim") {
+		t.Fatalf("wrong-dimension query: status %d (%q), want 400 naming query 1", status, fail.Error)
+	}
+}
+
 func TestReplicaHealthAndReadiness(t *testing.T) {
 	rep := startReplica(t, newHardened(t, 23, cardest.ServeOptions{}), ReplicaConfig{})
 	for _, ep := range []string{"/healthz", "/readyz"} {

@@ -76,11 +76,12 @@ func (o RouterOptions) withDefaults() RouterOptions {
 // replicaClient is the router's per-replica state: transport, circuit
 // breaker, and the overload cooling window advertised by 429 responses.
 type replicaClient struct {
-	name      string
-	base      string
-	hc        *http.Client
-	breaker   *Breaker
-	coolUntil atomic.Int64 // UnixNano until which 429 backoff applies
+	name        string
+	base        string
+	estimateURL string // base + "/estimate", built once
+	hc          *http.Client
+	breaker     *Breaker
+	coolUntil   atomic.Int64 // UnixNano until which 429 backoff applies
 }
 
 // cooling reports whether the replica is inside an advertised overload
@@ -151,10 +152,11 @@ func NewRouter(replicaURLs []string, opts RouterOptions) (*Router, error) {
 	}
 	for i, u := range replicaURLs {
 		r.reps = append(r.reps, &replicaClient{
-			name:    fmt.Sprintf("r%d", i),
-			base:    u,
-			hc:      &http.Client{},
-			breaker: NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+			name:        fmt.Sprintf("r%d", i),
+			base:        u,
+			estimateURL: u + "/estimate",
+			hc:          &http.Client{},
+			breaker:     NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		})
 	}
 	if opts.ProbeInterval > 0 {
@@ -214,30 +216,46 @@ func (r *Router) shardOf(q []float64) int {
 	return int(h1 % uint64(len(r.reps)))
 }
 
+// ClientError reports a request that no replica will answer because the
+// request itself is malformed: a replica's 4xx other than 429, or the
+// router's own check of the batch before dispatch (Replica is then empty).
+// The router returns it at once, with no breaker failure, retry, hedge or
+// fallback: every sibling would refuse the same bytes.
+type ClientError struct {
+	// Status is the HTTP status the replica answered, or 400 for the
+	// router's own check.
+	Status int
+	// Replica names the refusing replica; "" for the router's check.
+	Replica string
+	// Msg is the replica's error body or the validation error.
+	Msg string
+}
+
+func (e *ClientError) Error() string {
+	if e.Replica == "" {
+		return e.Msg
+	}
+	return fmt.Sprintf("serving: replica %s refused the request with %d: %s", e.Replica, e.Status, e.Msg)
+}
+
 // Estimate answers one batch through the dispatch ladder: preferred-shard
 // replica first, hedged after the p99-derived delay, retried with jittered
 // backoff against siblings on failure, honoring 429 cooling windows, and
 // degrading to the local fallback tier when every replica attempt fails.
+// A batch the replicas would refuse (EstimateRequest.Validate) and a
+// replica's 4xx verdict are a *ClientError instead.
 func (r *Router) Estimate(ctx context.Context, qs [][]float64, taus []float64) (*Result, error) {
-	if len(qs) == 0 || len(qs) != len(taus) {
-		return nil, fmt.Errorf("serving: %d queries but %d taus", len(qs), len(taus))
-	}
 	r.requests.Add(1)
 	start := time.Now()
-	if _, has := ctx.Deadline(); !has {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opts.Deadline)
-		defer cancel()
-	}
-	ctx, tr, owned := reqtrace.Ensure(ctx, "router", taus[0])
-	res, err := r.dispatch(ctx, tr, qs, taus)
-	if owned {
-		if res != nil {
-			tr.SetOutcome(sum(res.Estimates), err)
-		} else {
-			tr.SetOutcome(0, err)
-		}
-		tr.Finish()
+	var (
+		res *Result
+		err error
+	)
+	req := EstimateRequest{Queries: qs, Taus: taus}
+	if verr := req.Validate(); verr != nil {
+		err = &ClientError{Status: http.StatusBadRequest, Msg: verr.Error()}
+	} else {
+		res, err = r.estimate(ctx, qs, taus)
 	}
 	rec := telemetry.Default()
 	if rec.Enabled() {
@@ -256,6 +274,27 @@ func (r *Router) Estimate(ctx context.Context, qs [][]float64, taus []float64) (
 	default:
 		r.ok.Add(1)
 		rec.CountLabeled(telemetry.MetricServingRequests, telemetry.LabelOutcome, "ok", 1)
+	}
+	return res, err
+}
+
+// estimate dispatches a validated batch under the router's deadline and
+// the request trace.
+func (r *Router) estimate(ctx context.Context, qs [][]float64, taus []float64) (*Result, error) {
+	if _, has := ctx.Deadline(); !has {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.opts.Deadline)
+		defer cancel()
+	}
+	ctx, tr, owned := reqtrace.Ensure(ctx, "router", taus[0])
+	res, err := r.dispatch(ctx, tr, qs, taus)
+	if owned {
+		if res != nil {
+			tr.SetOutcome(sum(res.Estimates), err)
+		} else {
+			tr.SetOutcome(0, err)
+		}
+		tr.Finish()
 	}
 	return res, err
 }
@@ -292,9 +331,15 @@ func (r *Router) dispatch(ctx context.Context, tr *reqtrace.Trace, qs [][]float6
 			r.retries.Add(1)
 			telemetry.Default().Count(telemetry.MetricServingRetries, 1)
 		}
-		out, didHedge := r.sendHedged(ctx, rc, shard, qs, taus, hedged)
+		// Each attempt carries the budget left at its start.
+		body, err := EstimateRequest{Queries: qs, Taus: taus, DeadlineMs: remainingMs(ctx)}.AppendJSON(make([]byte, 0, wireSize(qs)))
+		if err != nil {
+			// A NaN or ±Inf in the batch: JSON cannot carry it.
+			return nil, &ClientError{Status: http.StatusBadRequest, Msg: "serving: " + err.Error()}
+		}
+		out, didHedge := r.sendHedged(ctx, tr, rc, shard, body, hedged)
 		hedged = hedged || didHedge
-		if out.err == nil && out.status == http.StatusOK {
+		if out.healthy() {
 			out.rc.success()
 			r.lat.Observe(out.rtt)
 			return &Result{
@@ -307,6 +352,9 @@ func (r *Router) dispatch(ctx context.Context, tr *reqtrace.Trace, qs [][]float6
 			}, nil
 		}
 		lastErr = r.recordAttemptFailure(out)
+		if out.refused() {
+			return nil, lastErr
+		}
 		lastFailed = out.rc
 		// Back off before the next attempt — unless the failure already
 		// consumed wall time advertising its own window (429 cooling is
@@ -339,6 +387,11 @@ func (r *Router) recordAttemptFailure(out sendOut) error {
 	case out.canceled:
 		// Our own deadline/hedge cancellation — not the replica's fault.
 		return out.err
+	case out.refused():
+		// The replica is up and judged the request malformed: it answered,
+		// so its circuit records a success.
+		out.rc.success()
+		return &ClientError{Status: out.status, Replica: out.rc.name, Msg: out.body}
 	default:
 		out.rc.failure()
 		if out.err != nil {
@@ -406,52 +459,73 @@ type sendOut struct {
 	rtt        time.Duration
 }
 
-// sendHedged dispatches one attempt to rc and, unless hedging is disabled
-// or already spent for this request, launches a single hedge copy to a
-// sibling after the p99-derived delay. The first healthy answer wins; the
-// loser is canceled. Reports whether a hedge was launched.
-func (r *Router) sendHedged(ctx context.Context, rc *replicaClient, shard int, qs [][]float64, taus []float64, hedgeSpent bool) (sendOut, bool) {
-	body, err := json.Marshal(EstimateRequest{
-		Queries:    qs,
-		Taus:       taus,
-		DeadlineMs: remainingMs(ctx),
-	})
-	if err != nil {
-		return sendOut{rc: rc, err: err}, false
+// healthy reports a 200 with a decoded answer.
+func (o *sendOut) healthy() bool { return o.err == nil && o.status == http.StatusOK }
+
+// refused reports a 4xx verdict on the request itself (429 is overload,
+// not a verdict): no sibling would answer it either.
+func (o *sendOut) refused() bool {
+	return o.err == nil && o.status >= 400 && o.status < 500 && o.status != http.StatusTooManyRequests
+}
+
+// sendHedged dispatches one attempt to rc on the caller's goroutine and,
+// unless hedging is disabled or already spent for this request, arms a
+// timer that sends a single hedge copy to a sibling after the p99-derived
+// delay. The first healthy answer wins and the loser is canceled: a
+// winning hedge cancels the primary's request, and returning cancels the
+// hedge's. A request answered before the delay costs no goroutine.
+// Reports whether a hedge was launched.
+func (r *Router) sendHedged(ctx context.Context, tr *reqtrace.Trace, rc *replicaClient, shard int, body []byte, hedgeSpent bool) (sendOut, bool) {
+	if r.opts.DisableHedge || hedgeSpent {
+		return r.send(ctx, rc, body), false
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make(chan sendOut, 2)
-	go func() { results <- r.send(actx, rc, body) }()
-
-	if r.opts.DisableHedge || hedgeSpent {
-		return <-results, false
-	}
-	select {
-	case out := <-results:
+	// The timer and this goroutine settle under mu whether a hedge runs:
+	// the timer picks a sibling (which may take a half-open circuit's one
+	// probe) only while the primary is still in flight.
+	var (
+		mu                     sync.Mutex
+		primaryDone, hedgeSent bool
+	)
+	hedge := make(chan sendOut, 1)
+	timer := time.AfterFunc(r.hedgeDelay(), func() {
+		mu.Lock()
+		var sib *replicaClient
+		if !primaryDone {
+			sib = r.pick(shard, rc)
+		}
+		hedgeSent = sib != nil
+		mu.Unlock()
+		if sib == nil {
+			return
+		}
+		r.hedges.Add(1)
+		telemetry.Default().Count(telemetry.MetricServingHedges, 1)
+		out := r.send(actx, sib, body)
+		if out.healthy() {
+			cancel() // the primary lost the race
+		}
+		hedge <- out
+	})
+	out := r.send(actx, rc, body)
+	timer.Stop()
+	mu.Lock()
+	primaryDone = true
+	sent := hedgeSent
+	mu.Unlock()
+	if !sent {
 		return out, false
-	case <-time.After(r.hedgeDelay()):
 	}
-	sib := r.pick(shard, rc)
-	if sib == nil {
-		return <-results, false
-	}
-	r.hedges.Add(1)
-	telemetry.Default().Count(telemetry.MetricServingHedges, 1)
-	reqtrace.FromContext(ctx).SetFlag(reqtrace.FlagHedged)
-	go func() { results <- r.send(actx, sib, body) }()
-	out := <-results
-	if out.err == nil && out.status == http.StatusOK {
+	tr.SetFlag(reqtrace.FlagHedged)
+	if out.healthy() || out.refused() {
 		return out, true
 	}
-	// First answer was a failure; the race is still live — take the second
-	// if it is healthy. A real failure loses to a cancellation artifact.
-	out2 := <-results
-	if out2.err == nil && out2.status == http.StatusOK {
-		return out2, true
-	}
-	if out.canceled && !out2.canceled {
-		return out2, true
+	// The primary failed while the hedge runs: take the hedge if it is
+	// healthy. A real failure wins over a cancellation artifact.
+	h := <-hedge
+	if h.healthy() || (out.canceled && !h.canceled) {
+		return h, true
 	}
 	return out, true
 }
@@ -469,7 +543,7 @@ func (r *Router) hedgeDelay() time.Duration {
 func (r *Router) send(ctx context.Context, rc *replicaClient, body []byte) sendOut {
 	out := sendOut{rc: rc}
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rc.base+"/estimate", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rc.estimateURL, bytes.NewReader(body))
 	if err != nil {
 		out.err = err
 		return out
@@ -487,7 +561,11 @@ func (r *Router) send(ctx context.Context, rc *replicaClient, body []byte) sendO
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var er EstimateResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		raw, err := io.ReadAll(resp.Body)
+		if err == nil {
+			err = json.Unmarshal(raw, &er)
+		}
+		if err != nil {
 			out.status = 0
 			out.err = fmt.Errorf("serving: replica %s: bad response body: %w", rc.name, err)
 			return out
@@ -506,6 +584,16 @@ func (r *Router) send(ctx context.Context, rc *replicaClient, body []byte) sendO
 func drainBody(rd io.Reader, out *sendOut) {
 	b, _ := io.ReadAll(io.LimitReader(rd, 512))
 	out.body = string(bytes.TrimSpace(b))
+}
+
+// wireSize guesses the encoded size of a request for qs: about 20 bytes
+// per number, so one allocation usually holds it.
+func wireSize(qs [][]float64) int {
+	n := 64 + 21*len(qs)
+	for _, q := range qs {
+		n += 20 * len(q)
+	}
+	return n
 }
 
 // remainingMs converts the context's remaining budget to the wire's

@@ -3,6 +3,9 @@ package serving
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -10,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"simquery/cardest"
 	"simquery/internal/estcache"
 )
 
@@ -233,6 +237,96 @@ func TestRouterBreakerOpensOnRepeated5xx(t *testing.T) {
 	}
 }
 
+// TestRouterOversizedBatchIsClientError is the repro of a batch every
+// replica refuses: 1025 queries through 2 replicas with a sampling
+// fallback. It must be a client error before dispatch, not a fallback
+// answer, and no circuit may count it.
+func TestRouterOversizedBatchIsClientError(t *testing.T) {
+	f := getFixture(t)
+	a := startReplica(t, newHardened(t, 24, cardest.ServeOptions{}), ReplicaConfig{Name: "a"})
+	b := startReplica(t, newHardened(t, 25, cardest.ServeOptions{}), ReplicaConfig{Name: "b"})
+	r := testRouter(t, []string{a.URL(), b.URL()}, RouterOptions{
+		Fallback:    newSampling(t, 26),
+		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
+	})
+	qs := make([][]float64, MaxBatchQueries+1)
+	taus := make([]float64, len(qs))
+	for i := range qs {
+		qs[i], taus[i] = f.queries[i%len(f.queries)], f.taus[i%len(f.taus)]
+	}
+	res, err := r.Estimate(context.Background(), qs, taus)
+	var ce *ClientError
+	if !errors.As(err, &ce) || res != nil {
+		t.Fatalf("1025-query batch: result %v, err %v; want a *ClientError", res, err)
+	}
+	if st := r.Stats(); st.Retries != 0 || st.Fallback != 0 || st.Errors != 1 || st.Requests != 1 {
+		t.Errorf("stats %+v, want Retries:0 Fallback:0 Errors:1", st)
+	}
+	for name, state := range r.Replicas() {
+		if state != CircuitClosed {
+			t.Errorf("circuit %s is %v, want closed", name, state)
+		}
+	}
+	if a.Served()+b.Served() != 0 {
+		t.Errorf("replicas served %d requests, want 0 (rejected before dispatch)", a.Served()+b.Served())
+	}
+}
+
+// TestRouterReplica4xxIsClientError checks that a replica's 4xx verdict
+// (other than 429) ends the request at once: no breaker failure, no retry,
+// no hedge, no fallback.
+func TestRouterReplica4xxIsClientError(t *testing.T) {
+	for _, status := range []int{http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge} {
+		var calls atomic.Int64
+		refuse := func(w http.ResponseWriter, _ EstimateRequest) {
+			calls.Add(1)
+			writeJSON(w, status, ErrorResponse{Error: "refused"})
+		}
+		a, b := stubReplica(t, refuse), stubReplica(t, refuse)
+		r := testRouter(t, []string{a.URL, b.URL}, RouterOptions{
+			Fallback:         newSampling(t, 27),
+			BreakerThreshold: 1,
+			HedgeFloor:       time.Millisecond,
+			BackoffBase:      time.Millisecond, BackoffMax: 2 * time.Millisecond,
+		})
+		_, err := r.Estimate(context.Background(), [][]float64{testQuery}, []float64{testTau})
+		var ce *ClientError
+		if !errors.As(err, &ce) || ce.Status != status || ce.Replica == "" {
+			t.Fatalf("status %d: err %v, want a *ClientError with that status", status, err)
+		}
+		if st := r.Stats(); st.Retries != 0 || st.Fallback != 0 || st.Errors != 1 {
+			t.Errorf("status %d: stats %+v, want Retries:0 Fallback:0 Errors:1", status, st)
+		}
+		if n := calls.Load(); n != 1 && !(n == 2 && r.Stats().Hedges == 1) {
+			t.Errorf("status %d: %d replica calls, want 1 (or 2 with a hedge in flight)", status, n)
+		}
+		for name, state := range r.Replicas() {
+			if state != CircuitClosed {
+				t.Errorf("status %d: circuit %s is %v, want closed", status, name, state)
+			}
+		}
+	}
+}
+
+// TestRouterNonFiniteQueryIsClientError checks that a batch JSON cannot
+// carry (a NaN coordinate) is the caller's error, sent nowhere.
+func TestRouterNonFiniteQueryIsClientError(t *testing.T) {
+	var calls atomic.Int64
+	a := stubReplica(t, func(w http.ResponseWriter, req EstimateRequest) {
+		calls.Add(1)
+		okHandler("a", 1, 1)(w, req)
+	})
+	r := testRouter(t, []string{a.URL}, RouterOptions{DisableHedge: true, Fallback: newSampling(t, 28)})
+	_, err := r.Estimate(context.Background(), [][]float64{{0.25, math.NaN(), 0.75}}, []float64{testTau})
+	var ce *ClientError
+	if !errors.As(err, &ce) {
+		t.Fatalf("NaN query: err %v, want a *ClientError", err)
+	}
+	if st := r.Stats(); calls.Load() != 0 || st.Fallback != 0 || st.Errors != 1 || r.reps[0].breaker.State() != CircuitClosed {
+		t.Errorf("NaN query: %d replica calls, stats %+v, circuit %v; want none sent, 1 error, closed", calls.Load(), st, r.reps[0].breaker.State())
+	}
+}
+
 // TestRouterTotalLossFallsBackLocally is the bottom rung: every replica
 // dead, a local sampling tier answers, the client sees no error.
 func TestRouterTotalLossFallsBackLocally(t *testing.T) {
@@ -344,5 +438,34 @@ func TestRouterProbeClosesRecoveredCircuit(t *testing.T) {
 			t.Fatal("prober never closed the circuit after recovery")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// BenchmarkRouterEstimate times one single-query Estimate through the
+// router to two loopback stub replicas with hedging armed (the delay never
+// elapses): the dispatch overhead around one HTTP round trip.
+func BenchmarkRouterEstimate(b *testing.B) {
+	mux := http.NewServeMux()
+	resp, _ := EstimateResponse{Estimates: []float64{42}, Generation: 1, Replica: "s"}.AppendJSON(nil)
+	resp = append(resp, '\n')
+	mux.HandleFunc("POST /estimate", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(resp)
+	})
+	a, c := httptest.NewServer(mux), httptest.NewServer(mux)
+	defer a.Close()
+	defer c.Close()
+	r, err := NewRouter([]string{a.URL, c.URL}, RouterOptions{ProbeInterval: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	qs, taus := [][]float64{testQuery}, []float64{testTau}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Estimate(context.Background(), qs, taus); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

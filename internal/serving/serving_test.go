@@ -28,7 +28,7 @@ var (
 	fixErr  error
 )
 
-func getFixture(t *testing.T) *fixtureT {
+func getFixture(t testing.TB) *fixtureT {
 	t.Helper()
 	fixOnce.Do(func() {
 		ds, err := cardest.GenerateProfile("imagenet", 600, 6, 11)
@@ -57,7 +57,7 @@ func getFixture(t *testing.T) *fixtureT {
 
 // newSampling trains the cheap sampling baseline — no labeled workload
 // needed, fast enough to train per test.
-func newSampling(t *testing.T, seed int64) cardest.Estimator {
+func newSampling(t testing.TB, seed int64) cardest.Estimator {
 	t.Helper()
 	f := getFixture(t)
 	est, err := cardest.Train(f.ds, nil, cardest.TrainOptions{Method: "sampling", SampleRatio: 0.3, Seed: seed})
@@ -69,7 +69,7 @@ func newSampling(t *testing.T, seed int64) cardest.Estimator {
 
 // newHardened wraps a fresh sampling primary per opts; the fallback, when
 // unset, is a second sampling model so degraded paths stay answerable.
-func newHardened(t *testing.T, seed int64, opts cardest.ServeOptions) *cardest.RobustEstimator {
+func newHardened(t testing.TB, seed int64, opts cardest.ServeOptions) *cardest.RobustEstimator {
 	t.Helper()
 	if opts.Fallback == nil {
 		opts.Fallback = newSampling(t, seed+1000)

@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -43,6 +44,7 @@ func TestWriteErrorContract(t *testing.T) {
 	}{
 		{"overload", cardest.ErrOverloaded, http.StatusTooManyRequests, true},
 		{"wrapped overload", errors.Join(errors.New("ctx"), cardest.ErrOverloaded), http.StatusTooManyRequests, true},
+		{"invalid input", fmt.Errorf("%w: query 0 has dim 3, want 4", cardest.ErrInvalidInput), http.StatusBadRequest, false},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, false},
 		{"canceled", context.Canceled, http.StatusGatewayTimeout, false},
 		{"internal", errors.New("boom"), http.StatusInternalServerError, false},
